@@ -5,8 +5,9 @@
 // plus a registry of named data-manipulation functions such as the paper's
 // $2€ currency conversion and A2E date reformatting.
 //
-// Expressions serve two roles: the execution engine evaluates them against
-// records, and the optimizer reads their referenced attributes to derive
+// Expressions serve two roles: the execution engine binds them to a record
+// layout once per activity and evaluates the bound form against records,
+// and the optimizer reads their referenced attributes to derive
 // functionality schemata.
 package algebra
 
@@ -17,10 +18,19 @@ import (
 	"etlopt/internal/data"
 )
 
+// Bound is an expression bound to one record layout: attribute references
+// are resolved to positions, functions to their implementations. It
+// computes the expression's value for a record laid out by the schema it
+// was bound to, and is safe for concurrent use.
+type Bound func(rec data.Record) (data.Value, error)
+
 // Expr is a scalar expression evaluated against one record.
 type Expr interface {
-	// Eval computes the expression's value for a record laid out by schema.
-	Eval(schema data.Schema, rec data.Record) (data.Value, error)
+	// Bind resolves the expression against schema once. Resolution
+	// failures (an attribute schema lacks, an unknown function) surface as
+	// the bound form's error when the failing part is evaluated, exactly
+	// as a per-record lookup would report them.
+	Bind(schema data.Schema) Bound
 	// Attrs appends the reference attribute names the expression reads.
 	Attrs(dst []string) []string
 	// String renders the expression in a stable textual form.
@@ -30,13 +40,15 @@ type Expr interface {
 // Attr references an attribute by reference name.
 type Attr struct{ Name string }
 
-// Eval implements Expr.
-func (a Attr) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
+// Bind implements Expr.
+func (a Attr) Bind(schema data.Schema) Bound {
 	i := schema.Index(a.Name)
-	if i < 0 || i >= len(rec) {
-		return data.Null, fmt.Errorf("algebra: attribute %q not in schema [%s]", a.Name, schema)
+	return func(rec data.Record) (data.Value, error) {
+		if i < 0 || i >= len(rec) {
+			return data.Null, fmt.Errorf("algebra: attribute %q not in schema [%s]", a.Name, schema)
+		}
+		return rec[i], nil
 	}
-	return rec[i], nil
 }
 
 // Attrs implements Expr.
@@ -48,8 +60,10 @@ func (a Attr) String() string { return a.Name }
 // Const is a literal value.
 type Const struct{ Value data.Value }
 
-// Eval implements Expr.
-func (c Const) Eval(data.Schema, data.Record) (data.Value, error) { return c.Value, nil }
+// Bind implements Expr.
+func (c Const) Bind(data.Schema) Bound {
+	return func(data.Record) (data.Value, error) { return c.Value, nil }
+}
 
 // Attrs implements Expr.
 func (c Const) Attrs(dst []string) []string { return dst }
@@ -123,36 +137,38 @@ type Cmp struct {
 	Left, Right Expr
 }
 
-// Eval implements Expr.
-func (c Cmp) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
-	l, err := c.Left.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
+// Bind implements Expr.
+func (c Cmp) Bind(schema data.Schema) Bound {
+	left, right := c.Left.Bind(schema), c.Right.Bind(schema)
+	return func(rec data.Record) (data.Value, error) {
+		l, err := left(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		r, err := right(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		if l.IsNull() || r.IsNull() {
+			return data.NewBool(c.Op == NE && l.IsNull() != r.IsNull()), nil
+		}
+		var out bool
+		switch c.Op {
+		case EQ:
+			out = l.Equal(r)
+		case NE:
+			out = !l.Equal(r)
+		case LT:
+			out = l.Compare(r) < 0
+		case LE:
+			out = l.Compare(r) <= 0
+		case GT:
+			out = l.Compare(r) > 0
+		case GE:
+			out = l.Compare(r) >= 0
+		}
+		return data.NewBool(out), nil
 	}
-	r, err := c.Right.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return data.NewBool(c.Op == NE && l.IsNull() != r.IsNull()), nil
-	}
-	cmp := l.Compare(r)
-	var out bool
-	switch c.Op {
-	case EQ:
-		out = l.Equal(r)
-	case NE:
-		out = !l.Equal(r)
-	case LT:
-		out = cmp < 0
-	case LE:
-		out = cmp <= 0
-	case GT:
-		out = cmp > 0
-	case GE:
-		out = cmp >= 0
-	}
-	return data.NewBool(out), nil
 }
 
 // Attrs implements Expr.
@@ -198,38 +214,41 @@ type Arith struct {
 	Left, Right Expr
 }
 
-// Eval implements Expr.
-func (a Arith) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
-	l, err := a.Left.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
-	}
-	r, err := a.Right.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return data.Null, nil
-	}
-	x, y := l.Float(), r.Float()
-	var out float64
-	switch a.Op {
-	case Add:
-		out = x + y
-	case Sub:
-		out = x - y
-	case Mul:
-		out = x * y
-	case Div:
-		if y == 0 {
-			return data.Null, fmt.Errorf("algebra: division by zero in %s", a)
+// Bind implements Expr.
+func (a Arith) Bind(schema data.Schema) Bound {
+	left, right := a.Left.Bind(schema), a.Right.Bind(schema)
+	return func(rec data.Record) (data.Value, error) {
+		l, err := left(rec)
+		if err != nil {
+			return data.Null, err
 		}
-		out = x / y
+		r, err := right(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		if l.IsNull() || r.IsNull() {
+			return data.Null, nil
+		}
+		x, y := l.Float(), r.Float()
+		var out float64
+		switch a.Op {
+		case Add:
+			out = x + y
+		case Sub:
+			out = x - y
+		case Mul:
+			out = x * y
+		case Div:
+			if y == 0 {
+				return data.Null, fmt.Errorf("algebra: division by zero in %s", a)
+			}
+			out = x / y
+		}
+		if l.Kind() == data.KindInt && r.Kind() == data.KindInt && a.Op != Div {
+			return data.NewInt(int64(out)), nil
+		}
+		return data.NewFloat(out), nil
 	}
-	if l.Kind() == data.KindInt && r.Kind() == data.KindInt && a.Op != Div {
-		return data.NewInt(int64(out)), nil
-	}
-	return data.NewFloat(out), nil
 }
 
 // Attrs implements Expr.
@@ -263,24 +282,27 @@ type Logic struct {
 	Left, Right Expr
 }
 
-// Eval implements Expr.
-func (l Logic) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
-	a, err := l.Left.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
+// Bind implements Expr.
+func (l Logic) Bind(schema data.Schema) Bound {
+	left, right := l.Left.Bind(schema), l.Right.Bind(schema)
+	return func(rec data.Record) (data.Value, error) {
+		a, err := left(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		// Short-circuit.
+		if l.Op == And && !a.Bool() {
+			return data.NewBool(false), nil
+		}
+		if l.Op == Or && a.Bool() {
+			return data.NewBool(true), nil
+		}
+		b, err := right(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		return data.NewBool(b.Bool()), nil
 	}
-	// Short-circuit.
-	if l.Op == And && !a.Bool() {
-		return data.NewBool(false), nil
-	}
-	if l.Op == Or && a.Bool() {
-		return data.NewBool(true), nil
-	}
-	b, err := l.Right.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
-	}
-	return data.NewBool(b.Bool()), nil
 }
 
 // Attrs implements Expr.
@@ -294,13 +316,16 @@ func (l Logic) String() string {
 // Not negates a boolean sub-expression.
 type Not struct{ Inner Expr }
 
-// Eval implements Expr.
-func (n Not) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
-	v, err := n.Inner.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
+// Bind implements Expr.
+func (n Not) Bind(schema data.Schema) Bound {
+	inner := n.Inner.Bind(schema)
+	return func(rec data.Record) (data.Value, error) {
+		v, err := inner(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		return data.NewBool(!v.Bool()), nil
 	}
-	return data.NewBool(!v.Bool()), nil
 }
 
 // Attrs implements Expr.
@@ -312,13 +337,16 @@ func (n Not) String() string { return fmt.Sprintf("not(%s)", n.Inner) }
 // IsNull tests whether a sub-expression evaluates to NULL.
 type IsNull struct{ Inner Expr }
 
-// Eval implements Expr.
-func (e IsNull) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
-	v, err := e.Inner.Eval(schema, rec)
-	if err != nil {
-		return data.Null, err
+// Bind implements Expr.
+func (e IsNull) Bind(schema data.Schema) Bound {
+	inner := e.Inner.Bind(schema)
+	return func(rec data.Record) (data.Value, error) {
+		v, err := inner(rec)
+		if err != nil {
+			return data.Null, err
+		}
+		return data.NewBool(v.IsNull()), nil
 	}
-	return data.NewBool(v.IsNull()), nil
 }
 
 // Attrs implements Expr.
@@ -333,21 +361,27 @@ type Call struct {
 	Args []Expr
 }
 
-// Eval implements Expr.
-func (c Call) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
+// Bind implements Expr.
+func (c Call) Bind(schema data.Schema) Bound {
 	fn, ok := LookupFunc(c.Fn)
-	if !ok {
-		return data.Null, fmt.Errorf("algebra: unknown function %q", c.Fn)
-	}
-	args := make([]data.Value, len(c.Args))
+	bound := make([]Bound, len(c.Args))
 	for i, e := range c.Args {
-		v, err := e.Eval(schema, rec)
-		if err != nil {
-			return data.Null, err
-		}
-		args[i] = v
+		bound[i] = e.Bind(schema)
 	}
-	return fn.Apply(args)
+	return func(rec data.Record) (data.Value, error) {
+		if !ok {
+			return data.Null, fmt.Errorf("algebra: unknown function %q", c.Fn)
+		}
+		args := make([]data.Value, len(bound))
+		for i, b := range bound {
+			v, err := b(rec)
+			if err != nil {
+				return data.Null, err
+			}
+			args[i] = v
+		}
+		return fn.Apply(args)
+	}
 }
 
 // Attrs implements Expr.

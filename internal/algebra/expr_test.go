@@ -17,7 +17,7 @@ func rec(a, b int64, s string) data.Record {
 
 func mustEval(t *testing.T, e Expr, r data.Record) data.Value {
 	t.Helper()
-	v, err := e.Eval(testSchema, r)
+	v, err := e.Bind(testSchema)(r)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e, err)
 	}
@@ -29,7 +29,7 @@ func TestAttrEval(t *testing.T) {
 	if v.Int() != 2 {
 		t.Errorf("Attr B = %v", v)
 	}
-	if _, err := (Attr{Name: "Z"}).Eval(testSchema, rec(1, 2, "x")); err == nil {
+	if _, err := (Attr{Name: "Z"}).Bind(testSchema)(rec(1, 2, "x")); err == nil {
 		t.Error("unknown attribute should error")
 	}
 }
@@ -96,7 +96,7 @@ func TestArithIntPreservation(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	e := Arith{Op: Div, Left: Attr{Name: "A"}, Right: Const{Value: data.NewInt(0)}}
-	if _, err := e.Eval(testSchema, rec(1, 0, "")); err == nil {
+	if _, err := e.Bind(testSchema)(rec(1, 0, "")); err == nil {
 		t.Error("division by zero should error")
 	}
 }
@@ -144,7 +144,7 @@ func TestCallEval(t *testing.T) {
 		t.Errorf("upper(abc) = %q", got)
 	}
 	bad := Call{Fn: "no_such_fn", Args: nil}
-	if _, err := bad.Eval(testSchema, rec(0, 0, "")); err == nil {
+	if _, err := bad.Bind(testSchema)(rec(0, 0, "")); err == nil {
 		t.Error("unknown function should error")
 	}
 }

@@ -112,6 +112,32 @@ func FuncNames() []string {
 // a fixed rate keeps workflows reproducible.
 const DollarEuroRate = 0.9
 
+// swapDateFields swaps the first two '/'-separated fields of a
+// three-field date string ("A/B/C" becomes "B/A/C"), the reformat both
+// a2edate and e2adate perform. ok is false unless s has exactly two '/'.
+// The result is built in one allocation.
+func swapDateFields(s string) (out string, ok bool) {
+	i := strings.IndexByte(s, '/')
+	if i < 0 {
+		return "", false
+	}
+	j := strings.IndexByte(s[i+1:], '/')
+	if j < 0 {
+		return "", false
+	}
+	j += i + 1
+	if strings.IndexByte(s[j+1:], '/') >= 0 {
+		return "", false
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	b.WriteString(s[i+1 : j])
+	b.WriteByte('/')
+	b.WriteString(s[:i])
+	b.WriteString(s[j:])
+	return b.String(), true
+}
+
 func init() {
 	// dollar2euro implements the paper's $2€ transformation: Dollar costs
 	// become Euro costs. The attribute it produces is a *different*
@@ -152,11 +178,11 @@ func init() {
 		case data.KindNull, data.KindDate:
 			return v, nil
 		case data.KindString:
-			parts := strings.Split(v.Str(), "/")
-			if len(parts) != 3 {
+			s, ok := swapDateFields(v.Str())
+			if !ok {
 				return data.Null, fmt.Errorf("a2edate: %q is not MM/DD/YYYY", v.Str())
 			}
-			return data.NewString(parts[1] + "/" + parts[0] + "/" + parts[2]), nil
+			return data.NewString(s), nil
 		default:
 			return data.Null, fmt.Errorf("a2edate: unsupported kind %s", v.Kind())
 		}
@@ -169,11 +195,11 @@ func init() {
 		case data.KindNull, data.KindDate:
 			return v, nil
 		case data.KindString:
-			parts := strings.Split(v.Str(), "/")
-			if len(parts) != 3 {
+			s, ok := swapDateFields(v.Str())
+			if !ok {
 				return data.Null, fmt.Errorf("e2adate: %q is not DD/MM/YYYY", v.Str())
 			}
-			return data.NewString(parts[1] + "/" + parts[0] + "/" + parts[2]), nil
+			return data.NewString(s), nil
 		default:
 			return data.Null, fmt.Errorf("e2adate: unsupported kind %s", v.Kind())
 		}

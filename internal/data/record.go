@@ -117,9 +117,11 @@ func (r Record) Clone() Record {
 	return c
 }
 
-// Key returns a canonical string key identifying the record's contents;
-// records with Equal values share a key. Used for multiset comparison and
-// duplicate detection.
+// Key returns a canonical string key identifying the record's contents:
+// two records share a key exactly when their values' Keys are pairwise
+// equal. Every value key is self-delimiting (string payloads carry their
+// length), so the joined key is injective over value-key tuples. Used for
+// multiset comparison.
 func (r Record) Key() string {
 	var b strings.Builder
 	for i, v := range r {
@@ -140,17 +142,40 @@ func (r Record) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Project builds a new record holding, for each attribute of target, the
-// value of the equally named attribute under src. Attributes missing from
-// src become NULL.
-func (r Record) Project(src, target Schema) Record {
-	out := make(Record, len(target))
+// Projection re-lays records out from one schema to another, compiled
+// once: for each target attribute it holds the position of the equally
+// named source attribute, or -1 where the source lacks it (the output
+// value is NULL).
+type Projection struct {
+	from []int
+}
+
+// NewProjection resolves target against src once.
+func NewProjection(src, target Schema) Projection {
+	from := make([]int, len(target))
 	for i, a := range target {
-		if j := src.Index(a); j >= 0 && j < len(r) {
-			out[i] = r[j]
-		} else {
-			out[i] = Null
+		from[i] = src.Index(a)
+	}
+	return Projection{from: from}
+}
+
+// Apply returns rows laid out by the target schema. Every output record is
+// freshly built, and all of them share one slab allocated for this call;
+// each is carved out with a full slice expression, so appending to one
+// record reallocates it instead of writing into its neighbour. The caller
+// may set values of the returned records before publishing them.
+func (p Projection) Apply(rows Rows) Rows {
+	w := len(p.from)
+	slab := make([]Value, len(rows)*w)
+	out := make(Rows, len(rows))
+	for i, r := range rows {
+		rec := slab[i*w : (i+1)*w : (i+1)*w]
+		for j, k := range p.from {
+			if k >= 0 && k < len(r) {
+				rec[j] = r[k]
+			}
 		}
+		out[i] = rec
 	}
 	return out
 }

@@ -71,17 +71,38 @@ func TestSchemaCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRecordProject(t *testing.T) {
+func TestProjection(t *testing.T) {
 	src := Schema{"A", "B", "C"}
-	rec := Record{NewInt(1), NewInt(2), NewInt(3)}
-	got := rec.Project(src, Schema{"C", "A"})
-	if len(got) != 2 || !got[0].Equal(NewInt(3)) || !got[1].Equal(NewInt(1)) {
-		t.Errorf("Project = %v", got)
+	rows := Rows{
+		{NewInt(1), NewInt(2), NewInt(3)},
+		{NewInt(4), NewInt(5), NewInt(6)},
+	}
+	got := NewProjection(src, Schema{"C", "A"}).Apply(rows)
+	if len(got) != 2 || len(got[0]) != 2 ||
+		!got[0][0].Equal(NewInt(3)) || !got[0][1].Equal(NewInt(1)) ||
+		!got[1][0].Equal(NewInt(6)) || !got[1][1].Equal(NewInt(4)) {
+		t.Errorf("Apply = %v", got)
+	}
+	// Records share a slab but are capped: appending to one must not
+	// overwrite its neighbour.
+	if cap(got[0]) != 2 {
+		t.Errorf("record capacity %d, want 2", cap(got[0]))
+	}
+	_ = append(got[0], NewInt(99))
+	if !got[1][0].Equal(NewInt(6)) {
+		t.Errorf("append to record 0 overwrote record 1: %v", got[1])
+	}
+	// The inputs are untouched.
+	if !rows[0][0].Equal(NewInt(1)) || len(rows[0]) != 3 {
+		t.Errorf("Apply mutated its input: %v", rows[0])
 	}
 	// Missing attributes project to NULL.
-	got = rec.Project(src, Schema{"Z"})
-	if !got[0].IsNull() {
-		t.Errorf("missing attribute should be NULL, got %v", got[0])
+	got = NewProjection(src, Schema{"Z"}).Apply(rows)
+	if !got[0][0].IsNull() {
+		t.Errorf("missing attribute should be NULL, got %v", got[0][0])
+	}
+	if got := NewProjection(src, src).Apply(nil); len(got) != 0 {
+		t.Errorf("Apply(nil) = %v", got)
 	}
 }
 

@@ -256,7 +256,11 @@ func (v Value) Compare(o Value) int {
 }
 
 // Key returns a string usable as a map key that distinguishes values the
-// way Equal does. Numeric values of equal magnitude share a key.
+// way Equal does, with two exceptions: -0 and +0 have distinct keys, and
+// ints beyond 2^53 share a key when their float64 conversions are equal.
+// Numeric values of equal magnitude share a key. A string's key carries
+// the payload's length, so a key never runs into the next one when keys
+// are joined (Record.Key).
 func (v Value) Key() string {
 	switch v.kind {
 	case KindNull:
@@ -264,7 +268,7 @@ func (v Value) Key() string {
 	case KindInt, KindFloat:
 		return "n:" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return "s:" + v.s
+		return "s" + strconv.Itoa(len(v.s)) + ":" + v.s
 	case KindBool:
 		return "b:" + strconv.FormatInt(v.i, 10)
 	case KindDate:

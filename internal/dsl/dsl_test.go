@@ -203,7 +203,7 @@ func TestParsePredicateForms(t *testing.T) {
 			t.Errorf("ParsePredicate(%q): %v", c.src, err)
 			continue
 		}
-		v, err := e.Eval(schema, row)
+		v, err := e.Bind(schema)(row)
 		if err != nil {
 			t.Errorf("Eval(%q): %v", c.src, err)
 			continue
@@ -248,8 +248,8 @@ func TestPredicateRoundTrip(t *testing.T) {
 			t.Fatalf("re-parse of %q (from %q): %v", e1.String(), src, err)
 		}
 		for _, r := range rows {
-			v1, err1 := e1.Eval(schema, r)
-			v2, err2 := e2.Eval(schema, r)
+			v1, err1 := e1.Bind(schema)(r)
+			v2, err2 := e2.Bind(schema)(r)
 			if (err1 == nil) != (err2 == nil) {
 				t.Errorf("%q: error mismatch %v vs %v", src, err1, err2)
 				continue

@@ -35,8 +35,8 @@ func ExampleParsePredicate() {
 		return
 	}
 	schema := data.Schema{"ID", "PRICE"}
-	ok, _ := pred.Eval(schema, data.Record{data.NewInt(1), data.NewFloat(25)})
-	rejected, _ := pred.Eval(schema, data.Record{data.Null, data.NewFloat(25)})
+	ok, _ := pred.Bind(schema)(data.Record{data.NewInt(1), data.NewFloat(25)})
+	rejected, _ := pred.Bind(schema)(data.Record{data.Null, data.NewFloat(25)})
 	fmt.Println(pred, "→", ok.Bool(), rejected.Bool())
 	// Output:
 	// ((PRICE>=10) and not(isnull(ID))) → true false

@@ -34,8 +34,8 @@ func FuzzParsePredicate(f *testing.F) {
 			t.Fatalf("String() of a parsed predicate does not re-parse: %q -> %q: %v",
 				src, e.String(), err)
 		}
-		v1, err1 := e.Eval(schema, probe)
-		v2, err2 := e2.Eval(schema, probe)
+		v1, err1 := e.Bind(schema)(probe)
+		v2, err2 := e2.Bind(schema)(probe)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("round trip changed evaluability: %v vs %v", err1, err2)
 		}

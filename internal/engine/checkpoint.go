@@ -75,6 +75,7 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 		return nil, err
 	}
 	out := make(map[workflow.NodeID]data.Rows, len(order))
+	readers := readerCounts(g, order)
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
 		NodeRows: make(map[workflow.NodeID]int),
@@ -166,6 +167,7 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 		} else if stageable {
 			c.checkpointEvent("staged", id, n, len(out[id]))
 		}
+		release(g, id, out, readers)
 	}
 
 	// The load completed: the staging area has served its purpose.

@@ -11,6 +11,16 @@
 // semantics demand it (see parallel.go). All three modes produce
 // bit-identical target rows.
 //
+// All three modes run activities through one kernel per node (exec.go):
+// each activity is compiled once per run against its node's layouts —
+// attribute positions resolved, predicate bound, lookup indexes built —
+// and the kernel is shared read-only by the materialized loop, every
+// partition and every pipelined batch. Key-sensitive kernels group and
+// match rows through data.KeyTable, which hashes typed values with exact
+// Value.Key equivalence instead of building key strings. Records are
+// immutable once emitted: kernels build their outputs in a fresh slab per
+// call and never write into a record they received.
+//
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
 // input, they load the same record multisets into every target (§3.4), and
@@ -79,9 +89,9 @@ type Engine struct {
 	// pprofLabels tags partition workers with runtime/pprof labels (see
 	// WithPprofLabels).
 	pprofLabels bool
-	// lookups, when non-nil, is a run-scoped shared cache of materialized
-	// surrogate-key/lookup tables: Parallel mode builds each table once and
-	// every partition references the same read-only map.
+	// lookups, when non-nil, is a run-scoped shared cache of lookup
+	// indexes: Parallel mode builds each index once per run and every node
+	// and partition references the same read-only index.
 	lookups *lookupCache
 	// faults, when non-nil, is the armed fault-injection plan (see
 	// WithFaultPlan); nil disables every injection point.
@@ -199,6 +209,7 @@ func (e *Engine) runMaterialized(ctx context.Context, g *workflow.Graph, rm *run
 		return nil, err
 	}
 	out := make(map[workflow.NodeID]data.Rows, len(order))
+	readers := readerCounts(g, order)
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
 		NodeRows: make(map[workflow.NodeID]int),
@@ -227,8 +238,31 @@ func (e *Engine) runMaterialized(ctx context.Context, g *workflow.Graph, rm *run
 		res.NodeRows[id] = len(out[id])
 		rowsSoFar += len(out[id])
 		rm.rows(id).Add(int64(len(out[id])))
+		release(g, id, out, readers)
 	}
 	return res, nil
+}
+
+// readerCounts counts, for every node, the input edges that read its
+// output.
+func readerCounts(g *workflow.Graph, order []workflow.NodeID) map[workflow.NodeID]int {
+	readers := make(map[workflow.NodeID]int, len(order))
+	for _, id := range order {
+		for _, p := range g.Providers(id) {
+			readers[p]++
+		}
+	}
+	return readers
+}
+
+// release forgets the outputs of id's providers that no node still to run
+// reads, so a run holds only the intermediates ahead of it.
+func release[T any](g *workflow.Graph, id workflow.NodeID, out map[workflow.NodeID]T, readers map[workflow.NodeID]int) {
+	for _, p := range g.Providers(id) {
+		if readers[p]--; readers[p] == 0 {
+			delete(out, p)
+		}
+	}
 }
 
 // execMaterializedNode is one node's retryable body: fault checks frame
@@ -318,43 +352,50 @@ func (e *Engine) scanSource(n *workflow.Node) (data.Rows, error) {
 		return nil, fmt.Errorf("engine: scanning %s: %w", n.RS.Name, err)
 	}
 	// Re-project in case the binding's attribute order differs.
-	if !rs.Schema().Equal(n.RS.Schema) {
-		src := rs.Schema()
-		re := make(data.Rows, len(rows))
-		for i, r := range rows {
-			re[i] = r.Project(src, n.RS.Schema)
-		}
-		rows = re
-	}
-	return rows, nil
+	return apply(relayout(rs.Schema(), n.RS.Schema), rows), nil
 }
 
 // projectForTarget lays provider rows out in the target recordset's
 // attribute order.
 func (e *Engine) projectForTarget(rows data.Rows, src, target data.Schema) data.Rows {
-	if src.Equal(target) {
-		return rows
-	}
-	out := make(data.Rows, len(rows))
-	for i, r := range rows {
-		out[i] = r.Project(src, target)
-	}
-	return out
+	return apply(relayout(src, target), rows)
 }
 
-// lookupTable materializes a surrogate-key lookup binding as a map from
-// production-key value to surrogate value. The lookup recordset's first
-// attribute is the production key, its second the surrogate. When the
-// engine carries a run-scoped lookup cache (Parallel mode), the table is
-// built once and shared read-only by every partition.
-func (e *Engine) lookupTable(name string) (map[string]data.Value, error) {
-	if e.lookups != nil {
-		return e.lookups.table(name, e.buildLookupTable)
-	}
-	return e.buildLookupTable(name)
+// lookupIndex is a lookup recordset interned by key: keys holds the key
+// tuple of every lookup row, and vals, for surrogate-key lookups, the
+// surrogate of each key id. It is read-only once built.
+type lookupIndex struct {
+	keys *data.KeyTable
+	vals []data.Value
 }
 
-func (e *Engine) buildLookupTable(name string) (map[string]data.Value, error) {
+// indexLookup materializes lookup binding name. A surrogate-key index
+// keys each row by its first attribute, the production key, and maps it
+// to its second, the surrogate (a later row overrides an earlier one with
+// an equal key). A key-set index, for lookup-based primary-key checks,
+// keys each row by all of its attributes. When the engine carries a
+// run-scoped lookup cache (Parallel mode), each index is built once per
+// run and shared by every node and partition.
+func (e *Engine) indexLookup(name string, surrogate bool) (*lookupIndex, error) {
+	if e.lookups == nil {
+		return e.buildLookupIndex(name, surrogate)
+	}
+	c := e.lookups
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key := lookupKey{name, surrogate}
+	if ix, ok := c.built[key]; ok {
+		return ix, nil
+	}
+	ix, err := e.buildLookupIndex(name, surrogate)
+	if err != nil {
+		return nil, err
+	}
+	c.built[key] = ix
+	return ix, nil
+}
+
+func (e *Engine) buildLookupIndex(name string, surrogate bool) (*lookupIndex, error) {
 	rs, ok := e.bindings[name]
 	if !ok {
 		return nil, fmt.Errorf("lookup recordset %q not bound", name)
@@ -363,47 +404,32 @@ func (e *Engine) buildLookupTable(name string) (map[string]data.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string]data.Value, len(rows))
+	pos := []int{0}
+	if !surrogate {
+		pos = make([]int, len(rs.Schema()))
+		for i := range pos {
+			pos[i] = i
+		}
+	}
+	ix := &lookupIndex{keys: data.NewKeyTable(pos, len(rows))}
 	for _, r := range rows {
-		if len(r) < 2 {
+		switch {
+		case surrogate && len(r) < 2:
 			return nil, fmt.Errorf("lookup %q: row %s has fewer than 2 attributes", name, r)
+		case !surrogate && len(r) != len(pos):
+			return nil, fmt.Errorf("lookup %q: row %s has %d attributes, schema has %d", name, r, len(r), len(pos))
 		}
-		m[r[0].Key()] = r[1]
-	}
-	return m, nil
-}
-
-// keySet materializes a lookup binding as the set of its row keys (for
-// lookup-based primary-key checks), sharing the run-scoped cache when one
-// is attached.
-func (e *Engine) keySet(name string) (map[string]bool, error) {
-	if e.lookups != nil {
-		return e.lookups.set(name, e.buildKeySet)
-	}
-	return e.buildKeySet(name)
-}
-
-func (e *Engine) buildKeySet(name string) (map[string]bool, error) {
-	rs, ok := e.bindings[name]
-	if !ok {
-		return nil, fmt.Errorf("lookup recordset %q not bound", name)
-	}
-	rows, err := rs.Scan()
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		var key string
-		for i, v := range r {
-			if i > 0 {
-				key += "\x1f"
-			}
-			key += v.Key()
+		id, added := ix.keys.Intern(r)
+		if !surrogate {
+			continue
 		}
-		m[key] = true
+		if added {
+			ix.vals = append(ix.vals, r[1])
+		} else {
+			ix.vals[id] = r[1]
+		}
 	}
-	return m, nil
+	return ix, nil
 }
 
 // SortTargets returns the target names of a result in sorted order, for

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -119,11 +118,11 @@ func mergeBySeq(parts []pslice) pslice {
 // gather restores a node's materialized row order (invariant 2).
 func gather(pd *pdata) data.Rows { return mergeBySeq(pd.parts).rows }
 
-// realignPdata re-lays each partition's rows out from schema src to dst,
-// keeping tags; identity when the layouts match. Partitions are realigned
-// concurrently — the projection is pure per-row work.
-func realignPdata(pd *pdata, src, dst data.Schema) *pdata {
-	if src.Equal(dst) {
+// realignPdata re-lays each partition's rows out through proj, keeping
+// tags; identity when proj is nil. Partitions are realigned concurrently —
+// the projection is pure per-row work.
+func realignPdata(pd *pdata, proj *data.Projection) *pdata {
+	if proj == nil {
 		return pd
 	}
 	out := newPdata(len(pd.parts))
@@ -132,7 +131,7 @@ func realignPdata(pd *pdata, src, dst data.Schema) *pdata {
 	for p := range pd.parts {
 		go func(p int) {
 			defer wg.Done()
-			out.parts[p] = pslice{rows: realign(pd.parts[p].rows, src, dst), seqs: pd.parts[p].seqs}
+			out.parts[p] = pslice{rows: proj.Apply(pd.parts[p].rows), seqs: pd.parts[p].seqs}
 		}(p)
 	}
 	wg.Wait()
@@ -160,58 +159,19 @@ func applyMaskTagged(ps pslice, keep []bool) pslice {
 	return out
 }
 
-// hashPartition routes a key tuple to a partition with FNV-1a — a fixed,
-// platform-independent hash, so the partitioning (and therefore every
-// intermediate partition layout) is reproducible across runs and builds.
-func hashPartition(key string, p int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(p))
-}
-
-// lookupCache is the run-scoped shared cache of materialized lookup
-// tables and key sets: the first partition to need a table builds it
-// under the lock, every later request — from any partition — gets the
-// same read-only map.
+// lookupCache is the run-scoped shared cache of lookup indexes: the first
+// node or partition to need an index builds it under the lock, every
+// later request gets the same read-only index.
 type lookupCache struct {
-	mu     sync.Mutex
-	tables map[string]map[string]data.Value
-	sets   map[string]map[string]bool
+	mu    sync.Mutex
+	built map[lookupKey]*lookupIndex
 }
 
-func newLookupCache() *lookupCache {
-	return &lookupCache{
-		tables: make(map[string]map[string]data.Value),
-		sets:   make(map[string]map[string]bool),
-	}
-}
-
-func (c *lookupCache) table(name string, build func(string) (map[string]data.Value, error)) (map[string]data.Value, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.tables[name]; ok {
-		return t, nil
-	}
-	t, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	c.tables[name] = t
-	return t, nil
-}
-
-func (c *lookupCache) set(name string, build func(string) (map[string]bool, error)) (map[string]bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.sets[name]; ok {
-		return s, nil
-	}
-	s, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	c.sets[name] = s
-	return s, nil
+// lookupKey names one index: a recordset can serve as a surrogate-key
+// lookup and as a key set, which index it differently.
+type lookupKey struct {
+	name      string
+	surrogate bool
 }
 
 // partitionCount resolves the configured partition count; default is the
@@ -227,7 +187,7 @@ func (e *Engine) partitionCount() int {
 // lookup cache. The copy shares the (read-only) bindings and metrics.
 func (e *Engine) withLookupCache() *Engine {
 	ec := *e
-	ec.lookups = newLookupCache()
+	ec.lookups = &lookupCache{built: make(map[lookupKey]*lookupIndex)}
 	return &ec
 }
 
@@ -242,6 +202,7 @@ func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetr
 	p := e.partitionCount()
 	ec := e.withLookupCache()
 	out := make(map[workflow.NodeID]*pdata, len(order))
+	readers := readerCounts(g, order)
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
 		NodeRows: make(map[workflow.NodeID]int),
@@ -342,6 +303,7 @@ func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetr
 		res.NodeRows[id] = count
 		rowsSoFar += count
 		rm.rows(id).Add(int64(count))
+		release(g, id, out, readers)
 	}
 	return res, nil
 }
@@ -389,10 +351,14 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 	return nil
 }
 
-// exchangeByKey repartitions pd so that every row whose key tuple hashes
-// to partition q lands in partition q, preserving tag order within each
-// destination. Rows routed are counted on the node's exchange series.
-func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rm *runMetrics, rowsSoFar int, keyOf func(data.Record) string) (*pdata, error) {
+// exchangeByKey repartitions pd so that every row whose key tuple (the
+// values at pos) hashes to partition q lands in partition q, preserving
+// tag order within each destination. The hash is data.HashKey, so rows
+// whose keys are equal under Value.Key always meet; it is fixed and
+// platform-independent, so every intermediate partition layout is
+// reproducible across runs and builds. Rows routed are counted on the
+// node's exchange series.
+func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rm *runMetrics, rowsSoFar int, pos []int) (*pdata, error) {
 	if p == 1 {
 		// A single partition already co-locates every key; nothing routes.
 		return pd, nil
@@ -407,7 +373,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 		dst := make([]pslice, p)
 		ps := pd.parts[q]
 		for i, r := range ps.rows {
-			d := hashPartition(keyOf(r), p)
+			d := int(data.HashKey(r, pos) % uint64(p))
 			dst[d].rows = append(dst[d].rows, r)
 			dst[d].seqs = append(dst[d].seqs, ps.seqs[i])
 		}
@@ -436,18 +402,28 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	return result, nil
 }
 
-// execParallel runs one activity over partitioned inputs. Cancellation
-// errors pass through already annotated; any other failure is wrapped
-// with the activity's identity like the materialized path.
+// execParallel compiles one activity once and runs it over partitioned
+// inputs; every partition shares the kernel. Cancellation errors pass
+// through already annotated; any other failure is wrapped with the
+// activity's identity like the materialized path.
 func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	preds := g.Providers(id)
-	// Align every input to the node's derived input layout up front, so
-	// key resolution and per-partition execution see n.In[i] layouts.
-	inputs := make([]*pdata, len(preds))
+	provided := make([]data.Schema, len(preds))
 	for i, pr := range preds {
-		inputs[i] = realignPdata(out[pr], g.Node(pr).Out, n.In[i])
+		provided[i] = g.Node(pr).Out
 	}
-	pd, err := e.execParallelOp(ctx, id, n, inputs, p, rm, rowsSoFar)
+	k, err := e.compile(n.Act, provided, n.In, n.Out)
+	var pd *pdata
+	if err == nil {
+		// Align every input to the node's derived input layout up front,
+		// so key positions and per-partition execution see n.In[i]
+		// layouts.
+		inputs := make([]*pdata, len(preds))
+		for i, pr := range preds {
+			inputs[i] = realignPdata(out[pr], k.realign[i])
+		}
+		pd, err = e.execParallelOp(ctx, id, n, k, inputs, p, rm, rowsSoFar)
+	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
@@ -457,51 +433,34 @@ func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflo
 	return pd, nil
 }
 
-func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
-	a := n.Act
+func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *workflow.Node, k *kernel, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	run := func(fn func(q int) error) error {
 		return e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, fn)
 	}
-	if streamable(a) {
+	// exchange co-locates the rows of input i whose keys at pos are equal.
+	exchange := func(i int, pos []int) (*pdata, error) {
+		return e.exchangeByKey(ctx, id, n, inputs[i], p, rm, rowsSoFar, pos)
+	}
+	if streamable(k.a) {
 		// Order-preserving unaries run partition-locally; survivors keep
 		// their tags, 1:1 transforms inherit them.
-		in := inputs[0]
 		result := newPdata(p)
 		err := run(func(q int) error {
-			ps, err := e.execLocal(a, n.In[0], n.Out, in.parts[q])
-			if err != nil {
-				return err
-			}
-			result.parts[q] = ps
-			return nil
+			var err error
+			result.parts[q], err = k.execLocal(inputs[0].parts[q])
+			return err
 		})
 		return result, err
 	}
-	switch a.Sem.Op {
-	case workflow.OpDistinct:
-		// All copies of a record must meet: exchange by full record key.
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, data.Record.Key)
+	switch k.a.Sem.Op {
+	case workflow.OpDistinct, workflow.OpPKCheck: // pkcheck: group-based; lookup-based is streamable
+		ex, err := exchange(0, k.pos)
 		if err != nil {
 			return nil, err
 		}
 		result := newPdata(p)
 		err = run(func(q int) error {
-			result.parts[q] = applyMaskTagged(ex.parts[q], maskDistinct(ex.parts[q].rows))
-			return nil
-		})
-		return result, err
-	case workflow.OpPKCheck: // group-based; lookup-based is streamable
-		keyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, "pkcheck")
-		if err != nil {
-			return nil, err
-		}
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, keyOf)
-		if err != nil {
-			return nil, err
-		}
-		result := newPdata(p)
-		err = run(func(q int) error {
-			keep, err := maskPKCheckGroup(a, n.In[0], ex.parts[q].rows)
+			keep, err := k.mask(ex.parts[q].rows)
 			if err != nil {
 				return err
 			}
@@ -510,126 +469,110 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		})
 		return result, err
 	case workflow.OpAggregate:
-		keyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, "aggregate")
-		if err != nil {
-			return nil, err
-		}
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, keyOf)
+		ex, err := exchange(0, k.pos)
 		if err != nil {
 			return nil, err
 		}
 		result := newPdata(p)
 		err = run(func(q int) error {
-			rows, err := e.execAggregate(a, n.In[0], n.Out, ex.parts[q].rows)
+			ps := ex.parts[q]
+			rows, first, err := k.aggregate(ps.rows)
 			if err != nil {
 				return err
 			}
 			// Each group's output row adopts the tag of the group's first
 			// input row; with a group's rows co-located that is its global
 			// first occurrence, so the merge restores first-seen order.
-			result.parts[q] = pslice{rows: rows, seqs: firstSeenSeqs(ex.parts[q], keyOf)}
+			seqs := make([]int64, len(first))
+			for g, i := range first {
+				seqs[g] = ps.seqs[i]
+			}
+			result.parts[q] = pslice{rows: rows, seqs: seqs}
 			return nil
 		})
 		return result, err
 	case workflow.OpMerged:
 		// A merged package with a blocking component can't split: run it
 		// whole on merged rows and re-scatter.
-		rows, err := e.execMerged(a, n.In[0], gather(inputs[0]))
+		rows, err := k.exec([]data.Rows{gather(inputs[0])})
 		if err != nil {
 			return nil, err
 		}
 		return scatterRows(rows, p), nil
 	case workflow.OpUnion:
-		return e.parUnion(ctx, id, n, inputs, p, rm, rowsSoFar)
+		return e.parUnion(ctx, id, n, k, inputs, p, rm, rowsSoFar)
 	case workflow.OpJoin:
-		return e.parJoin(ctx, id, n, inputs, p, rm, rowsSoFar)
-	case workflow.OpDiff:
-		return e.parKeyPresence(ctx, id, n, inputs, p, rm, rowsSoFar, false)
-	case workflow.OpIntersect:
-		return e.parKeyPresence(ctx, id, n, inputs, p, rm, rowsSoFar, true)
-	default:
-		return nil, fmt.Errorf("unsupported operation %s", a.Sem.Op)
+		lex, err := exchange(0, k.pos)
+		if err != nil {
+			return nil, err
+		}
+		rex, err := exchange(1, k.rpos)
+		if err != nil {
+			return nil, err
+		}
+		return e.parJoin(ctx, id, n, k, lex, rex, p, rm, rowsSoFar)
+	default: // diff, intersect
+		lex, err := exchange(0, k.pos)
+		if err != nil {
+			return nil, err
+		}
+		rex, err := exchange(1, k.rpos)
+		if err != nil {
+			return nil, err
+		}
+		result := newPdata(p)
+		err = run(func(q int) error {
+			result.parts[q] = applyMaskTagged(lex.parts[q], k.maskPresence(lex.parts[q].rows, rex.parts[q].rows))
+			return nil
+		})
+		return result, err
 	}
 }
 
 // execLocal runs one order-preserving activity on a single partition,
 // carrying tags through: filters keep survivor tags, 1:1 transforms keep
 // all tags, merged packages thread both through their components.
-func (e *Engine) execLocal(a *workflow.Activity, in, out data.Schema, ps pslice) (pslice, error) {
-	switch a.Sem.Op {
-	case workflow.OpFilter:
-		keep, err := maskFilter(a, in, ps.rows)
-		if err != nil {
-			return pslice{}, err
-		}
-		return applyMaskTagged(ps, keep), nil
-	case workflow.OpNotNull:
-		keep, err := maskNotNull(a, in, ps.rows)
-		if err != nil {
-			return pslice{}, err
-		}
-		return applyMaskTagged(ps, keep), nil
-	case workflow.OpPKCheck:
-		keep, err := e.maskPKCheckLookup(a, in, ps.rows)
+func (k *kernel) execLocal(ps pslice) (pslice, error) {
+	switch k.a.Sem.Op {
+	case workflow.OpFilter, workflow.OpNotNull, workflow.OpPKCheck:
+		keep, err := k.mask(ps.rows)
 		if err != nil {
 			return pslice{}, err
 		}
 		return applyMaskTagged(ps, keep), nil
 	case workflow.OpProject, workflow.OpFunc, workflow.OpSurrogateKey:
-		rows, err := e.execSem(a, []data.Schema{in}, out, []data.Schema{in}, []data.Rows{ps.rows})
+		rows, err := k.transform(ps.rows)
 		if err != nil {
 			return pslice{}, err
 		}
 		return pslice{rows: rows, seqs: ps.seqs}, nil
 	case workflow.OpMerged:
 		cur := ps
-		curSchema := in
-		for _, comp := range a.Sem.Components {
-			outSchema, err := componentOutput(comp, curSchema)
-			if err != nil {
-				return pslice{}, err
+		for _, c := range k.comps {
+			var err error
+			if cur, err = c.execLocal(cur); err != nil {
+				return pslice{}, fmt.Errorf("merged component %s: %w", c.a.Sem, err)
 			}
-			cur, err = e.execLocal(comp, curSchema, outSchema, cur)
-			if err != nil {
-				return pslice{}, fmt.Errorf("merged component %s: %w", comp.Sem, err)
-			}
-			curSchema = outSchema
 		}
 		return cur, nil
 	default:
-		return pslice{}, fmt.Errorf("internal error: %s is not partition-local", a.Sem.Op)
+		return pslice{}, fmt.Errorf("internal error: %s is not partition-local", k.a.Sem.Op)
 	}
-}
-
-// firstSeenSeqs returns, in first-seen key order, the tag of each key
-// group's first row — index-aligned with execAggregate's output, which
-// assigns group output slots in the same first-seen scan order.
-func firstSeenSeqs(ps pslice, keyOf func(data.Record) string) []int64 {
-	seen := make(map[string]bool)
-	var tags []int64
-	for i, r := range ps.rows {
-		k := keyOf(r)
-		if !seen[k] {
-			seen[k] = true
-			tags = append(tags, ps.seqs[i])
-		}
-	}
-	return tags
 }
 
 // parUnion concatenates the inputs partition-wise: left rows keep their
 // tags, right tags are shifted past the left input's global maximum, so
 // the merged order is all left rows then all right rows — the
 // materialized union order.
-func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
+func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, k *kernel, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	l, r := inputs[0], inputs[1]
 	offset := l.maxSeq() + 1
 	result := newPdata(p)
 	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
 		lp, rp := l.parts[q], r.parts[q]
 		rows := make(data.Rows, 0, len(lp.rows)+len(rp.rows))
-		rows = append(rows, realign(lp.rows, n.In[0], n.Out)...)
-		rows = append(rows, realign(rp.rows, n.In[1], n.Out)...)
+		rows = append(rows, apply(k.proj, lp.rows)...)
+		rows = append(rows, apply(k.rproj, rp.rows)...)
 		seqs := make([]int64, 0, len(rows))
 		seqs = append(seqs, lp.seqs...)
 		for _, s := range rp.seqs {
@@ -641,53 +584,22 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 	return result, err
 }
 
-// parJoin exchanges both inputs by the join key so matching pairs are
-// co-located, joins each partition in nested-loop order, then k-way
-// merges the partitions by (left tag, right tag) — the exact materialized
-// join order — and re-scatters the merged rows with fresh tags.
-func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
-	a := n.Act
-	leftKeyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, "join")
-	if err != nil {
-		return nil, err
-	}
-	rightKeyOf, err := rowKeyFn(n.In[1], a.Sem.Attrs, "join")
-	if err != nil {
-		return nil, err
-	}
-	lex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKeyOf)
-	if err != nil {
-		return nil, err
-	}
-	rex, err := e.exchangeByKey(ctx, id, n, inputs[1], p, rm, rowsSoFar, rightKeyOf)
-	if err != nil {
-		return nil, err
-	}
-	jl := newJoinLayout(n.Out, n.In[0], n.In[1])
+// parJoin joins each partition of the key-exchanged inputs in nested-loop
+// order, then k-way merges the partitions by (left tag, right tag) — the
+// exact materialized join order — and re-scatters the merged rows with
+// fresh tags.
+func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, k *kernel, lex, rex *pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	type joined struct {
 		rows data.Rows
 		l, r []int64
 	}
 	per := make([]joined, p)
-	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
-		type tagged struct {
-			rec data.Record
-			seq int64
-		}
-		index := make(map[string][]tagged)
-		rp := rex.parts[q]
-		for i, r := range rp.rows {
-			k := rightKeyOf(r)
-			index[k] = append(index[k], tagged{r, rp.seqs[i]})
-		}
-		var out joined
-		lp := lex.parts[q]
-		for i, l := range lp.rows {
-			for _, m := range index[leftKeyOf(l)] {
-				out.rows = append(out.rows, jl.row(l, m.rec))
-				out.l = append(out.l, lp.seqs[i])
-				out.r = append(out.r, m.seq)
-			}
+	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+		lp, rp := lex.parts[q], rex.parts[q]
+		rows, pairs := k.join(lp.rows, rp.rows)
+		out := joined{rows: rows, l: make([]int64, len(pairs)), r: make([]int64, len(pairs))}
+		for i, pr := range pairs {
+			out.l[i], out.r[i] = lp.seqs[pr[0]], rp.seqs[pr[1]]
 		}
 		per[q] = out
 		return nil
@@ -720,37 +632,4 @@ func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.No
 		heads[best]++
 	}
 	return scatterRows(merged, p), nil
-}
-
-// parKeyPresence is the shared parallel body of difference (keepPresent
-// false) and intersection (true): exchange both sides by key tuple, mask
-// each left partition against its co-located right rows, keep left tags.
-func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int, keepPresent bool) (*pdata, error) {
-	a := n.Act
-	leftKeyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, a.Sem.Op.String())
-	if err != nil {
-		return nil, err
-	}
-	rightKeyOf, err := rowKeyFn(n.In[1], a.Sem.Attrs, a.Sem.Op.String())
-	if err != nil {
-		return nil, err
-	}
-	lex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKeyOf)
-	if err != nil {
-		return nil, err
-	}
-	rex, err := e.exchangeByKey(ctx, id, n, inputs[1], p, rm, rowsSoFar, rightKeyOf)
-	if err != nil {
-		return nil, err
-	}
-	result := newPdata(p)
-	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
-		keep, err := maskKeyPresence(a, []data.Schema{n.In[0], n.In[1]}, lex.parts[q].rows, rex.parts[q].rows, keepPresent)
-		if err != nil {
-			return err
-		}
-		result.parts[q] = applyMaskTagged(lex.parts[q], keep)
-		return nil
-	})
-	return result, err
 }

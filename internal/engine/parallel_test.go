@@ -195,8 +195,7 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 		if !rowsIdentical(gather(pd), rows) {
 			t.Fatalf("P=%d: gather(scatter(rows)) != rows", p)
 		}
-		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, nil, 0,
-			func(r data.Record) string { return r[0].Key() })
+		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, nil, 0, []int{0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,6 +167,10 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 				defer closeOut(id)
 				inSchema := g.Node(preds[0]).Out
 				ch := chans[edge{preds[0], id}]
+				// Compile on the first batch, not up front: a node that no
+				// batch reaches must neither fail on a resolution error nor
+				// scan its lookup.
+				var k *kernel
 				for {
 					var batch data.Rows
 					var ok bool
@@ -178,7 +182,14 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 					case <-done:
 						return
 					}
-					out, err := e.execSemTimed(id, n, inSchema, batch, rm)
+					var err error
+					if k == nil {
+						k, err = e.compile(n.Act, []data.Schema{inSchema}, n.In, n.Out)
+					}
+					var out data.Rows
+					if err == nil {
+						out, err = execBatchTimed(id, k, batch, rm)
+					}
 					if err != nil {
 						fail(fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err))
 						return
@@ -196,7 +207,7 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 					inWG.Add(1)
 					go func(i int, p workflow.NodeID) {
 						defer inWG.Done()
-						src := g.Node(p).Out
+						proj := relayout(g.Node(p).Out, n.Out)
 						ch := chans[edge{p, id}]
 						for {
 							select {
@@ -205,7 +216,7 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 									return
 								}
 								select {
-								case merged <- realign(batch, src, n.Out):
+								case merged <- apply(proj, batch):
 								case <-done:
 									return
 								}
@@ -287,15 +298,16 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 	return &RunResult{Targets: targets, NodeRows: nodeRows}, nil
 }
 
-// execSemTimed runs one streamable activity's batch, observing its latency
-// into the per-node stage histogram when metrics are enabled.
-func (e *Engine) execSemTimed(id workflow.NodeID, n *workflow.Node, inSchema data.Schema, batch data.Rows, rm *runMetrics) (data.Rows, error) {
+// execBatchTimed runs one streamable activity's batch through its kernel,
+// observing its latency into the per-node stage histogram when metrics
+// are enabled.
+func execBatchTimed(id workflow.NodeID, k *kernel, batch data.Rows, rm *runMetrics) (data.Rows, error) {
 	h := rm.latency(id)
 	if h == nil {
-		return e.execSem(n.Act, n.In, n.Out, []data.Schema{inSchema}, []data.Rows{batch})
+		return k.run([]data.Rows{batch})
 	}
 	start := time.Now()
-	out, err := e.execSem(n.Act, n.In, n.Out, []data.Schema{inSchema}, []data.Rows{batch})
+	out, err := k.run([]data.Rows{batch})
 	h.Observe(time.Since(start).Seconds())
 	return out, err
 }
