@@ -2,14 +2,13 @@
 // files: every source recordset, surrogate-key lookup and key set named by
 // the workflow is bound to <data-dir>/<name>.csv, and target recordsets
 // are written to <data-dir>/<name>.csv as well. Optionally the workflow is
-// optimized before running, executed through the pipelined engine, and
+// optimized before running, executed across P partitions, and
 // checkpointed so an interrupted load resumes instead of restarting.
 //
 // Usage:
 //
 //	etlrun -in workflow.etl -data ./data [-optimize hs|greedy|es] [-workers N]
-//	       [-mode materialized|pipelined|parallel] [-partitions P]
-//	       [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
+//	       [-partitions P] [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
 //	       [-metrics snap.json] [-journal run.jsonl]
 //	       [-trace-out trace-events.json] [-cpuprofile cpu.pprof]
 //	       [-debug-addr localhost:6060] [-progress 1s]
@@ -31,7 +30,8 @@
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism (goroutines expanding the state
 // space), while -partitions controls engine data parallelism (how many
-// ways each recordset is split in -mode parallel). They are independent
+// ways each recordset is split; 1 runs every activity on whole inputs, 0
+// means GOMAXPROCS). They are independent
 // knobs for independent phases; -suite-workers is a third, bounding how
 // many workflows and shared stages run concurrently in suite mode.
 package main
@@ -43,6 +43,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -72,8 +73,7 @@ func run() error {
 		dataDir    = flag.String("data", ".", "directory of <name>.csv record files")
 		optimize   = flag.String("optimize", "", "optimize first: es, hs or greedy")
 		workers    = flag.Int("workers", 0, "optimizer search parallelism: worker goroutines for -optimize (0 = GOMAXPROCS)")
-		mode       = flag.String("mode", "materialized", "execution mode: materialized, pipelined or parallel")
-		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel (0 = GOMAXPROCS)")
+		partitions = flag.Int("partitions", 1, "engine data parallelism: partitions per recordset (0 = GOMAXPROCS)")
 		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution")
 		impact     = flag.String("impact", "", "print the impact analysis of the named recordset and exit")
 		lintOnly   = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
@@ -100,18 +100,25 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("missing workflow file (-in or positional)")
 	}
+	if *partitions == 0 {
+		*partitions = runtime.GOMAXPROCS(0)
+	}
 	if len(files) > 1 {
-		for flagName, set := range map[string]bool{
-			"-optimize": *optimize != "", "-checkpoint": *checkpoint != "",
-			"-impact": *impact != "", "-lint": *lintOnly,
-			"-explain": *explain, "-calibrate": *calibrate,
+		// A fixed order, so the error names the same flag on every run.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-optimize", *optimize != ""}, {"-checkpoint", *checkpoint != ""},
+			{"-impact", *impact != ""}, {"-lint", *lintOnly},
+			{"-explain", *explain}, {"-calibrate", *calibrate},
 		} {
-			if set {
-				return fmt.Errorf("%s applies to single-workflow runs, not suites", flagName)
+			if f.set {
+				return fmt.Errorf("%s applies to single-workflow runs, not suites", f.name)
 			}
 		}
 		return runSuite(files, suiteFlags{
-			dataDir: *dataDir, mode: *mode, partitions: *partitions,
+			dataDir: *dataDir, partitions: *partitions,
 			workers: *suiteWork, cacheBytes: *sharedCap, spillDir: *sharedSpil,
 			faults: *faults, retries: *retries,
 			metrics: *metrics, journal: *journal,
@@ -218,18 +225,7 @@ func run() error {
 		return err
 	}
 
-	var engineMode engine.Mode
-	switch *mode {
-	case "materialized":
-		engineMode = engine.Materialized
-	case "pipelined":
-		engineMode = engine.Pipelined
-	case "parallel":
-		engineMode = engine.Parallel
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	eopts := []engine.Option{engine.WithMode(engineMode), engine.WithMetrics(reg),
+	eopts := []engine.Option{engine.WithMetrics(reg),
 		engine.WithPartitions(*partitions), engine.WithJournal(jnl)}
 	if *cpuProf != "" {
 		eopts = append(eopts, engine.WithPprofLabels())

@@ -76,40 +76,43 @@ func TestCLIRunFig1(t *testing.T) {
 	}
 }
 
-func TestCLIRunOptimizedPipelinedMatchesPlain(t *testing.T) {
+// TestCLIRunOptimizedPartitionedMatchesPlain runs the HS plan at four
+// partitions, and at -partitions 0 (GOMAXPROCS), and requires the same
+// target rows as the plain initial workflow at the default P=1.
+func TestCLIRunOptimizedPartitionedMatchesPlain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildTool(t)
-
-	dirA := t.TempDir()
-	wfA := setupFig1(t, dirA)
-	if out, err := exec.Command(bin, "-in", wfA, "-data", dirA).CombinedOutput(); err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	dirB := t.TempDir()
-	wfB := setupFig1(t, dirB)
-	out, err := exec.Command(bin, "-in", wfB, "-data", dirB, "-optimize", "hs", "-mode", "pipelined").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "optimized with HS") {
-		t.Errorf("missing optimization report:\n%s", out)
-	}
-
 	schema := data.Schema{"PKEY", "SOURCE", "DATE", "ECOST"}
-	a, err := data.NewFileRecordset("A", schema, filepath.Join(dirA, "DW.PARTS.csv"))
-	if err != nil {
-		t.Fatal(err)
+	// run executes etlrun on a fresh copy of the Fig. 1 data with args and
+	// returns the target rows it wrote.
+	run := func(args ...string) data.Rows {
+		t.Helper()
+		dir := t.TempDir()
+		wf := setupFig1(t, dir)
+		out, err := exec.Command(bin, append([]string{"-in", wf, "-data", dir}, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		if len(args) > 0 && !strings.Contains(string(out), "optimized with HS") {
+			t.Errorf("%v: missing optimization report:\n%s", args, out)
+		}
+		rs, err := data.NewFileRecordset("DW.PARTS", schema, filepath.Join(dir, "DW.PARTS.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := rs.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-	b, err := data.NewFileRecordset("B", schema, filepath.Join(dirB, "DW.PARTS.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsA, _ := a.Scan()
-	rowsB, _ := b.Scan()
-	if !rowsA.EqualMultiset(rowsB) {
-		t.Errorf("optimized pipelined run wrote different data: %d vs %d rows", len(rowsA), len(rowsB))
+	plain := run()
+	for _, p := range []string{"4", "0"} {
+		if got := run("-optimize", "hs", "-partitions", p); !plain.EqualMultiset(got) {
+			t.Errorf("optimized run at -partitions %s wrote different data: %d vs %d rows", p, len(plain), len(got))
+		}
 	}
 }
 

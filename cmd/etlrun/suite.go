@@ -20,7 +20,6 @@ import (
 // suiteFlags is the slice of the CLI configuration suite mode consumes.
 type suiteFlags struct {
 	dataDir    string
-	mode       string
 	partitions int
 	workers    int
 	cacheBytes int64
@@ -134,18 +133,7 @@ func runSuite(files []string, f suiteFlags) error {
 
 // suiteEngineOptions lowers the CLI flags to per-stage engine options.
 func suiteEngineOptions(f suiteFlags, reg *obs.Registry, jnl *obs.Journal) ([]engine.Option, error) {
-	var mode engine.Mode
-	switch f.mode {
-	case "materialized":
-		mode = engine.Materialized
-	case "pipelined":
-		mode = engine.Pipelined
-	case "parallel":
-		mode = engine.Parallel
-	default:
-		return nil, fmt.Errorf("unknown mode %q", f.mode)
-	}
-	eopts := []engine.Option{engine.WithMode(mode), engine.WithMetrics(reg),
+	eopts := []engine.Option{engine.WithMetrics(reg),
 		engine.WithPartitions(f.partitions), engine.WithJournal(jnl)}
 	if f.faults != "" {
 		seed, rate, err := fault.ParseSpec(f.faults)

@@ -119,6 +119,29 @@ func TestCLISuiteRejectsSingleRunFlags(t *testing.T) {
 	}
 }
 
+// TestCLISuiteRejectsFlagsInFixedOrder sets every single-workflow flag
+// on a two-workflow run: the error must name the first of them, -optimize,
+// on every run.
+func TestCLISuiteRejectsFlagsInFixedOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	wf := setupFig1(t, dir)
+	args := []string{"-data", dir, "-optimize", "hs", "-checkpoint", filepath.Join(dir, "stage"),
+		"-impact", "PARTS1", "-lint", "-explain", "-calibrate", wf, wf}
+	for i := 0; i < 20; i++ {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("suite run with single-workflow flags succeeded:\n%s", out)
+		}
+		if !strings.Contains(string(out), "-optimize applies to single-workflow runs") {
+			t.Fatalf("run %d: error does not name -optimize:\n%s", i, out)
+		}
+	}
+}
+
 // TestCLISuiteTargetCollision covers the duplicate-target guard: two
 // workflows writing the same CSV path must be rejected before any engine
 // runs.

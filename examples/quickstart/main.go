@@ -57,7 +57,7 @@ func main() {
 		"ORDERS": etl.NewMemoryRecordset("ORDERS", etl.Schema{"ORDER_ID", "CUST", "DAMT"}).MustLoad(rows),
 	}
 	// Partition-parallel execution: the recordset is split 8 ways, yet the
-	// loaded rows are bit-identical to a materialized run at any count.
+	// loaded rows are bit-identical to the default one-partition run.
 	run, err := etl.Run(ctx, res.Best, bindings, etl.WithPartitions(8))
 	if err != nil {
 		log.Fatal(err)

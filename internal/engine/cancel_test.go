@@ -8,18 +8,15 @@ import (
 	"etlopt/internal/templates"
 )
 
-// TestRunCancelled verifies both execution modes abort with ctx.Err()
-// when the context is cancelled before the run starts.
+// TestRunCancelled verifies runs at every partition count abort with
+// ctx.Err() when the context is cancelled before the run starts.
 func TestRunCancelled(t *testing.T) {
 	sc := templates.Fig1Scenario(80, 240)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []struct {
-		name string
-		mode Mode
-	}{{"materialized", Materialized}, {"pipelined", Pipelined}, {"parallel", Parallel}} {
-		t.Run(mode.name, func(t *testing.T) {
-			res, err := New(sc.Bind(), WithMode(mode.mode)).Run(ctx, sc.Graph)
+	for _, c := range partitionCounts {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := New(sc.Bind(), WithPartitions(c.p)).Run(ctx, sc.Graph)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}

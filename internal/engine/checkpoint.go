@@ -51,125 +51,29 @@ func (c *CheckpointRunner) nodePath(id workflow.NodeID) string {
 	return filepath.Join(c.dir, fmt.Sprintf("node-%d.csv", id))
 }
 
-// Run executes the workflow, checkpointing each completed node. If the
-// staging area already holds results for this exact workflow (matching
-// signature), completed nodes are loaded from disk instead of recomputed —
-// the resumption path. On success the staging area is removed.
+// Run executes the workflow through the engine's node loop, staging each
+// completed source and activity output. If the staging area already holds
+// results for this exact workflow (matching signature), staged nodes are
+// loaded from disk instead of recomputed — the resumption path — and
+// dealt into the engine's partitions like fresh rows. Targets are never
+// staged. On success the staging area is removed.
 //
-// A cancelled ctx aborts between nodes with ctx.Err() and leaves the
-// staging area in place: the nodes completed before the cancellation stay
-// checkpointed, so a later Run with the same workflow resumes from them —
-// cancellation behaves exactly like the crash the runner exists to
-// survive.
+// A cancelled ctx aborts between nodes with an error wrapping ctx.Err()
+// and leaves the staging area in place: the nodes completed before the
+// cancellation stay checkpointed, so a later Run with the same workflow
+// resumes from them — cancellation behaves exactly like the crash the
+// runner exists to survive.
 func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	sig := g.Signature()
-	if err := c.prepareStaging(sig); err != nil {
+	if err := c.prepareStaging(g.Signature()); err != nil {
 		return nil, err
 	}
-
-	order, err := g.TopoSort()
+	res, err := c.engine.run(ctx, g, c)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[workflow.NodeID]data.Rows, len(order))
-	readers := readerCounts(g, order)
-	res := &RunResult{
-		Targets:  make(map[string]data.Rows),
-		NodeRows: make(map[workflow.NodeID]int),
-	}
-	for _, id := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n := g.Node(id)
-		// Targets are never staged: loading is the effect we must not
-		// repeat blindly, so targets always re-run from their providers'
-		// staged outputs.
-		stageable := n.Kind == workflow.KindActivity || len(g.Providers(id)) == 0
-		resumed := false
-		body := func() error {
-			// Resume path: a staged output short-circuits recomputation.
-			if stageable {
-				if err := c.engine.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
-					return err
-				}
-				rows, ok, err := c.loadStage(id)
-				if err != nil {
-					return err
-				}
-				if ok {
-					out[id] = rows
-					resumed = true
-					return nil
-				}
-			}
-			if err := c.engine.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-				return err
-			}
-			switch n.Kind {
-			case workflow.KindRecordset:
-				preds := g.Providers(id)
-				if len(preds) == 0 {
-					rows, err := c.engine.scanSource(n)
-					if err != nil {
-						return err
-					}
-					out[id] = rows
-				} else {
-					rows := c.engine.projectForTarget(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
-					if err := c.engine.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-						return err
-					}
-					out[id] = rows
-					res.Targets[n.RS.Name] = rows
-					if rs, ok := c.engine.bindings[n.RS.Name]; ok {
-						if err := rs.Load(rows); err != nil {
-							return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
-						}
-					}
-				}
-			case workflow.KindActivity:
-				preds := g.Providers(id)
-				inputs := make([]data.Rows, len(preds))
-				schemas := make([]data.Schema, len(preds))
-				for i, p := range preds {
-					inputs[i] = out[p]
-					schemas[i] = g.Node(p).Out
-				}
-				rows, err := c.engine.execActivity(n, schemas, inputs)
-				if err != nil {
-					return fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
-				}
-				out[id] = rows
-			}
-			if stageable {
-				if err := c.engine.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
-					return err
-				}
-				if err := c.saveStage(id, g.Node(id).Out, out[id]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := c.engine.runNode(ctx, id, n, body); err != nil {
-			return nil, err
-		}
-		res.NodeRows[id] = len(out[id])
-		if resumed {
-			c.checkpointEvent("restored", id, n, len(out[id]))
-			if j := c.engine.journal; j != nil {
-				j.Emit(obs.ResumeEvent(nodeKey(id, n), len(out[id])))
-			}
-		} else if stageable {
-			c.checkpointEvent("staged", id, n, len(out[id]))
-		}
-		release(g, id, out, readers)
-	}
-
 	// The load completed: the staging area has served its purpose.
 	if err := c.Clear(); err != nil {
 		return nil, err
@@ -177,13 +81,45 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 	return res, nil
 }
 
+// restore is a stageable node's first step: when the staging area holds
+// the node's output, it is read back and dealt into p partitions, and the
+// node's own work is skipped.
+func (c *CheckpointRunner) restore(ctx context.Context, id workflow.NodeID, n *workflow.Node, p int) (*pdata, bool, error) {
+	if err := c.engine.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
+		return nil, false, err
+	}
+	rows, ok, err := c.loadStage(id)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return partitioned(rows, p), true, nil
+}
+
+// stage is a stageable node's last step: it persists the node's output in
+// row order.
+func (c *CheckpointRunner) stage(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata) error {
+	if err := c.engine.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
+		return err
+	}
+	return c.saveStage(id, n.Out, gather(pd))
+}
+
 // checkpointEvent journals one staging step ("staged" when a node's
-// output is persisted, "restored" when a resumed run short-circuits a
-// node from disk) through the wrapped engine's flight recorder; a no-op
-// without one.
-func (c *CheckpointRunner) checkpointEvent(action string, id workflow.NodeID, n *workflow.Node, rows int) {
-	if j := c.engine.journal; j != nil {
-		j.Emit(obs.CheckpointEvent(nodeKey(id, n), action, rows))
+// output is persisted, "restored", plus a resume event, when a resumed
+// run short-circuits a node from disk) through the wrapped engine's
+// flight recorder; a no-op without one.
+func (c *CheckpointRunner) checkpointEvent(id workflow.NodeID, n *workflow.Node, restored bool, rows int) {
+	j := c.engine.journal
+	if j == nil {
+		return
+	}
+	action := "staged"
+	if restored {
+		action = "restored"
+	}
+	j.Emit(obs.CheckpointEvent(nodeKey(id, n), action, rows))
+	if restored {
+		j.Emit(obs.ResumeEvent(nodeKey(id, n), rows))
 	}
 }
 

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
 	"testing"
 
 	"etlopt/internal/data"
+	"etlopt/internal/fault"
+	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
 )
@@ -217,5 +220,115 @@ func TestCheckpointNullsSurviveStaging(t *testing.T) {
 	}
 	if !foundNull {
 		t.Error("NULL lost in staging round trip")
+	}
+}
+
+// TestCheckpointRunnerPartitioned runs the checkpoint runner over a
+// four-partition engine: the run really executes at P=4 (every partition
+// journals batch events) and loads targets bit-identical to the P=1 run.
+// A run crashed by a permanent fault at a mid-graph node resumes at P=4
+// from its staged outputs to the same answer.
+func TestCheckpointRunnerPartitioned(t *testing.T) {
+	const parts = 4
+	sc := templates.Fig1Scenario(80, 240)
+	clean, err := New(sc.Bind()).Run(context.Background(), sc.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkpointed runs g at P=4 through a checkpoint runner on dir and
+	// returns its result, error and journal.
+	checkpointed := func(dir string, opts ...Option) (*RunResult, error, []obs.Event) {
+		t.Helper()
+		var buf bytes.Buffer
+		j := obs.NewJournal(&buf, nil)
+		cr, err := NewCheckpointRunner(New(sc.Bind(), append(opts, WithPartitions(parts), WithJournal(j))...), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, runErr := cr.Run(context.Background(), sc.Graph)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, runErr, evs
+	}
+	sameAsClean := func(res *RunResult) {
+		t.Helper()
+		for name, want := range clean.Targets {
+			if !rowsIdentical(want, res.Targets[name]) {
+				t.Errorf("target %s not bit-identical to the P=1 run", name)
+			}
+		}
+		for id, want := range clean.NodeRows {
+			if got := res.NodeRows[id]; got != want {
+				t.Errorf("node %d emitted %d rows, P=1 run %d", id, got, want)
+			}
+		}
+	}
+
+	res, err, evs := checkpointed(filepath.Join(t.TempDir(), "stage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsClean(res)
+	seen := map[int]bool{}
+	for _, e := range evs {
+		if e.T == obs.EventBatch {
+			seen[e.Part] = true
+		}
+	}
+	for q := 0; q < parts; q++ {
+		if !seen[q] {
+			t.Errorf("no batch events for partition %d; journaled partitions %v", q, seen)
+		}
+	}
+
+	// Crash: a permanent node-start fault whose first firing node lies in
+	// the middle of the topological order.
+	order, err := sc.Graph.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := 1 / float64(len(order))
+	var crashAt workflow.NodeID = -1
+	var seed int64
+	for seed = 1; seed < 10_000 && crashAt < 0; seed++ {
+		plan := fault.NewPlan(seed, rate, fault.WithKind(fault.Permanent), fault.WithSites(fault.SiteNodeStart))
+		for i, id := range order {
+			if plan.Check(context.Background(), fault.SiteNodeStart, int(id), 0) != nil {
+				if i >= len(order)/3 && i < 2*len(order)/3 {
+					crashAt = id
+				}
+				break
+			}
+		}
+	}
+	if crashAt < 0 {
+		t.Fatal("no fault plan crashes the workflow mid-graph")
+	}
+	seed--
+	dir := filepath.Join(t.TempDir(), "crash")
+	_, err, _ = checkpointed(dir, WithFaultPlan(
+		fault.NewPlan(seed, rate, fault.WithKind(fault.Permanent), fault.WithSites(fault.SiteNodeStart))))
+	var inj *fault.Injected
+	if !errors.As(err, &inj) || inj.Node != int(crashAt) {
+		t.Fatalf("crash run: want the permanent fault at node %d, got %v", crashAt, err)
+	}
+	res, err, evs = checkpointed(dir)
+	if err != nil {
+		t.Fatalf("resume at P=%d: %v", parts, err)
+	}
+	sameAsClean(res)
+	resumed := 0
+	for _, e := range evs {
+		if e.T == obs.EventResume {
+			resumed++
+		}
+	}
+	if resumed == 0 {
+		t.Error("resumed run journaled no resume events")
 	}
 }

@@ -19,14 +19,14 @@ var (
 	collideY = data.Record{data.NewString("a"), data.NewString("b\x1fs:c")}
 )
 
-// collisionModes runs f under every mode the engine offers, with the
-// parallel mode at one and at four partitions.
+// collisionModes runs f on the default engine, which runs at P=1 with
+// every kernel on whole materialized inputs, and at explicit partition
+// counts one and four.
 func collisionModes(t *testing.T, f func(t *testing.T, opts ...Option)) {
-	t.Run("materialized", func(t *testing.T) { f(t, WithMode(Materialized)) })
-	t.Run("pipelined", func(t *testing.T) { f(t, WithMode(Pipelined), WithBatchSize(1)) })
+	t.Run("materialized", func(t *testing.T) { f(t) })
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallel-P%d", p), func(t *testing.T) {
-			f(t, WithMode(Parallel), WithPartitions(p))
+			f(t, WithPartitions(p))
 		})
 	}
 }

@@ -1,25 +1,28 @@
 // Package engine executes ETL workflows over real records. The paper
 // treats workflows as operational processes run in a nightly time window;
-// this package is that runtime substrate. Three execution modes are
-// provided: a materialized mode that evaluates nodes in topological order
-// (deterministic, easy to debug), a pipelined mode that runs every
-// activity as a goroutine connected by channels, matching the paper's
-// observation that activities "are allowed to output data to one another"
-// without intermediate data stores, and a partition-parallel mode that
-// splits every recordset across P partitions and executes each activity
-// partition by partition, exchanging rows by key where an operator's
-// semantics demand it (see parallel.go). All three modes produce
-// bit-identical target rows.
+// this package is that runtime substrate.
 //
-// All three modes run activities through one kernel per node (exec.go):
-// each activity is compiled once per run against its node's layouts —
-// attribute positions resolved, predicate bound, lookup indexes built —
-// and the kernel is shared read-only by the materialized loop, every
-// partition and every pipelined batch. Key-sensitive kernels group and
-// match rows through data.KeyTable, which hashes typed values with exact
-// Value.Key equivalence instead of building key strings. Records are
-// immutable once emitted: kernels build their outputs in a fresh slab per
-// call and never write into a record they received.
+// The engine has one node loop (Engine.run): nodes execute in topological
+// order, each under the retry policy and between its fault-injection
+// sites, and a node's output is released as soon as no node still to run
+// reads it. The loop's only parameter is the partition count P (see
+// WithPartitions). At P=1 every node's output is one untagged partition
+// and each activity runs through its kernel on whole inputs — the
+// reference semantics. At P>1 every recordset is split across P
+// partitions and each activity executes partition by partition,
+// exchanging rows by key where an operator's semantics demand it (see
+// parallel.go); target rows are bit-identical to P=1 at any count. The
+// checkpoint runner (checkpoint.go) runs the same loop with a restore
+// step before and a stage step after every source and activity.
+//
+// Each activity is compiled once per run into a kernel (exec.go) against
+// its node's layouts — attribute positions resolved, predicate bound,
+// lookup indexes built — and the kernel is shared read-only by every
+// partition. Key-sensitive kernels group and match rows through
+// data.KeyTable, which hashes typed values with exact Value.Key
+// equivalence instead of building key strings. Records are immutable once
+// emitted: kernels build their outputs in a fresh slab per call and never
+// write into a record they received.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -39,46 +42,10 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// Mode selects the execution strategy.
-type Mode uint8
-
-// Execution modes.
-const (
-	// Materialized evaluates nodes one by one in topological order,
-	// materializing each node's full output.
-	Materialized Mode = iota
-	// Pipelined runs one goroutine per node, streaming records through
-	// channels; blocking operations (aggregations, duplicate checks,
-	// difference) buffer internally as needed.
-	Pipelined
-	// Parallel partitions every recordset across P partition workers,
-	// executes order-preserving operators partition-locally, repartitions
-	// by key for key-sensitive operators, and merges partitions with an
-	// order-stable reduce so output is bit-identical to Materialized at
-	// any partition count. See WithPartitions.
-	Parallel
-)
-
-// String names the mode as it appears in metric labels and journal events.
-func (m Mode) String() string {
-	switch m {
-	case Materialized:
-		return "materialized"
-	case Pipelined:
-		return "pipelined"
-	case Parallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
 // Engine executes workflows against bound recordsets.
 type Engine struct {
-	mode     Mode
 	bindings map[string]data.Recordset
-	batch    int
-	// partitions is Parallel mode's worker count; 0 means GOMAXPROCS.
+	// partitions is the run's partition count P, at least 1.
 	partitions int
 	// metrics, when non-nil, receives the engine's observability series
 	// (see WithMetrics); nil disables collection.
@@ -89,9 +56,9 @@ type Engine struct {
 	// pprofLabels tags partition workers with runtime/pprof labels (see
 	// WithPprofLabels).
 	pprofLabels bool
-	// lookups, when non-nil, is a run-scoped shared cache of lookup
-	// indexes: Parallel mode builds each index once per run and every node
-	// and partition references the same read-only index.
+	// lookups is the run-scoped shared cache of lookup indexes (see
+	// withLookupCache): each index is built once per run and every node and
+	// partition references the same read-only index.
 	lookups *lookupCache
 	// faults, when non-nil, is the armed fault-injection plan (see
 	// WithFaultPlan); nil disables every injection point.
@@ -104,21 +71,9 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithMode selects the execution mode (default Materialized).
-func WithMode(m Mode) Option { return func(e *Engine) { e.mode = m } }
-
-// WithBatchSize sets the pipelined mode's channel batch size (default 64).
-func WithBatchSize(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.batch = n
-		}
-	}
-}
-
-// WithPartitions sets Parallel mode's partition count (default: the
-// number of CPUs). Any count produces bit-identical output; the count
-// only affects how the work is spread. Ignored by the other modes.
+// WithPartitions sets the partition count P (default 1; counts below 1
+// keep the default). Any count produces bit-identical output; the count
+// only affects how the work is spread.
 func WithPartitions(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -132,11 +87,7 @@ func WithPartitions(n int) Option {
 // bound by name. Target recordsets may be bound (rows are loaded into
 // them) or unbound (rows are only reported in the RunResult).
 func New(bindings map[string]data.Recordset, opts ...Option) *Engine {
-	e := &Engine{
-		mode:     Materialized,
-		bindings: bindings,
-		batch:    64,
-	}
+	e := &Engine{bindings: bindings, partitions: 1}
 	for _, o := range opts {
 		o(e)
 	}
@@ -157,58 +108,50 @@ type RunResult struct {
 
 // Run executes the workflow and returns the loaded target rows. The graph
 // must be validated and have regenerated schemata. Cancelling ctx stops
-// the run at the next node (materialized and parallel modes) or batch
-// (pipelined mode) boundary and returns an error wrapping ctx.Err(); rows
-// already loaded into bound targets stay loaded.
+// the run at the next node or partition boundary and returns an error
+// wrapping ctx.Err(); rows already loaded into bound targets stay loaded.
 func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
+	return e.run(ctx, g, nil)
+}
+
+// run executes g through the node loop, framed by the run's journal
+// events, span and whole-run metrics. cp, when non-nil, is the checkpoint
+// runner staging the run.
+func (e *Engine) run(ctx context.Context, g *workflow.Graph, cp *CheckpointRunner) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	var (
-		res *RunResult
-		err error
-	)
-	partitions := 0
-	if e.mode == Parallel {
-		partitions = e.partitionCount()
-	}
-	modeName := e.mode.String()
-	rm := e.newRunMetrics(g, partitions)
+	rm := e.newRunMetrics(g)
 	if e.journal != nil {
-		e.journal.Emit(obs.RunEvent("start", "engine/"+modeName))
-		defer e.journal.Emit(obs.RunEvent("end", "engine/"+modeName))
+		e.journal.Emit(obs.RunEvent("start", "engine"))
+		defer e.journal.Emit(obs.RunEvent("end", "engine"))
 	}
-	span := e.metrics.StartSpan("engine/" + modeName)
+	span := e.metrics.StartSpan("engine")
 	rm.setSpan(span)
-	switch e.mode {
-	case Materialized:
-		res, err = e.runMaterialized(ctx, g, rm)
-	case Pipelined:
-		res, err = e.runPipelined(ctx, g, rm)
-	case Parallel:
-		res, err = e.runParallel(ctx, g, rm)
-	default:
-		span.End()
-		return nil, fmt.Errorf("engine: unknown mode %d", e.mode)
-	}
+	res, err := e.withLookupCache().runNodes(ctx, g, order, rm, cp)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	e.recordRun(g, res, modeName)
+	e.recordRun(g, res)
 	return res, nil
 }
 
-// runMaterialized evaluates the graph node by node in topological order,
-// checking for cancellation between nodes.
-func (e *Engine) runMaterialized(ctx context.Context, g *workflow.Graph, rm *runMetrics) (*RunResult, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[workflow.NodeID]data.Rows, len(order))
+// runNodes is the node loop. Every node's body runs under the retry
+// policy: restore (checkpointed runs), the node-start fault site, the
+// node's own work, stage (checkpointed runs). Side effects — recording
+// the output, loading a bound target, staging — happen strictly after
+// the node's last injection point, so a retried node is idempotent from
+// the outside.
+func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, order []workflow.NodeID, rm *runMetrics, cp *CheckpointRunner) (*RunResult, error) {
+	p := e.partitions
+	out := make(map[workflow.NodeID]*pdata, len(order))
 	readers := readerCounts(g, order)
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
@@ -219,28 +162,102 @@ func (e *Engine) runMaterialized(ctx context.Context, g *workflow.Graph, rm *run
 		n := g.Node(id)
 		if err := ctx.Err(); err != nil {
 			// Surface where the run stopped, not just that it stopped: the
-			// next activity that would have run and the progress made.
+			// next node that would have run and the progress made.
 			return nil, fmt.Errorf("engine: run cancelled before node %d (%s) after %d rows: %w",
 				id, n.Label(), rowsSoFar, err)
 		}
-		body := func() error {
-			return e.execMaterializedNode(ctx, g, id, n, out, res, rm)
+		activity := n.Kind == workflow.KindActivity
+		source := !activity && len(g.Providers(id)) == 0
+		var exec func() (*pdata, error)
+		switch {
+		case activity:
+			exec = func() (*pdata, error) { return e.execActivity(ctx, g, id, n, out, rm, rowsSoFar) }
+		case source:
+			exec = func() (*pdata, error) { return e.scanNode(ctx, id, n) }
+		default:
+			exec = func() (*pdata, error) { return e.loadTarget(ctx, g, id, n, out, res) }
+		}
+		// Targets are never staged: loading is the effect a resumed run
+		// must not skip, so a target always re-runs from its provider.
+		staging := cp != nil && (activity || source)
+		var (
+			pd       *pdata
+			restored bool
+		)
+		body := func() (err error) {
+			if staging {
+				if pd, restored, err = cp.restore(ctx, id, n, p); err != nil || restored {
+					return err
+				}
+			}
+			if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
+				return err
+			}
+			if pd, err = exec(); err != nil {
+				return err
+			}
+			if staging {
+				return cp.stage(ctx, id, n, pd)
+			}
+			return nil
 		}
 		var err error
-		if n.Kind == workflow.KindActivity {
-			err = e.runNodeJournaled(ctx, id, n, rm, func() int { return len(out[id]) }, body)
+		if activity {
+			err = e.runNodeJournaled(ctx, id, n, rm, func() int { return pd.total() }, body)
 		} else {
 			err = e.runNode(ctx, id, n, body)
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.NodeRows[id] = len(out[id])
-		rowsSoFar += len(out[id])
-		rm.rows(id).Add(int64(len(out[id])))
+		count := pd.total()
+		if activity {
+			for q, ps := range pd.parts {
+				rm.partRow(id, q).Add(int64(len(ps.rows)))
+				rm.batchEvent(id, q, len(ps.rows))
+			}
+		}
+		if staging {
+			cp.checkpointEvent(id, n, restored, count)
+		}
+		out[id] = pd
+		res.NodeRows[id] = count
+		rowsSoFar += count
+		rm.rows(id).Add(int64(count))
 		release(g, id, out, readers)
 	}
 	return res, nil
+}
+
+// scanNode reads a source and deals its rows into the run's partitions.
+func (e *Engine) scanNode(ctx context.Context, id workflow.NodeID, n *workflow.Node) (*pdata, error) {
+	rows, err := e.scanSource(n)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
+		return nil, err
+	}
+	return partitioned(rows, e.partitions), nil
+}
+
+// loadTarget is where the partitioned world ends: it merges the
+// provider's partitions back into order, lays the rows out by the
+// target's schema and loads them into a bound target. The emit check
+// precedes the load, so a retried target never loads twice.
+func (e *Engine) loadTarget(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, res *RunResult) (*pdata, error) {
+	pred := g.Providers(id)[0]
+	rows := apply(relayout(g.Node(pred).Out, n.RS.Schema), gather(out[pred]))
+	if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
+		return nil, err
+	}
+	res.Targets[n.RS.Name] = rows
+	if rs, ok := e.bindings[n.RS.Name]; ok {
+		if err := rs.Load(rows); err != nil {
+			return nil, fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
+		}
+	}
+	return partitioned(rows, 1), nil
 }
 
 // readerCounts counts, for every node, the input edges that read its
@@ -257,84 +274,12 @@ func readerCounts(g *workflow.Graph, order []workflow.NodeID) map[workflow.NodeI
 
 // release forgets the outputs of id's providers that no node still to run
 // reads, so a run holds only the intermediates ahead of it.
-func release[T any](g *workflow.Graph, id workflow.NodeID, out map[workflow.NodeID]T, readers map[workflow.NodeID]int) {
+func release(g *workflow.Graph, id workflow.NodeID, out map[workflow.NodeID]*pdata, readers map[workflow.NodeID]int) {
 	for _, p := range g.Providers(id) {
 		if readers[p]--; readers[p] == 0 {
 			delete(out, p)
 		}
 	}
-}
-
-// execMaterializedNode is one node's retryable body: fault checks frame
-// the computation so every side effect — recording the output, loading a
-// bound target — happens strictly after the node's last injection point,
-// making a retried node idempotent from the outside.
-func (e *Engine) execMaterializedNode(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]data.Rows, res *RunResult, rm *runMetrics) error {
-	if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-		return err
-	}
-	switch n.Kind {
-	case workflow.KindRecordset:
-		preds := g.Providers(id)
-		if len(preds) == 0 {
-			rows, err := e.scanSource(n)
-			if err != nil {
-				return err
-			}
-			if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-				return err
-			}
-			out[id] = rows
-			return nil
-		}
-		rows := e.projectForTarget(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
-		if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-			return err
-		}
-		out[id] = rows
-		res.Targets[n.RS.Name] = rows
-		if rs, ok := e.bindings[n.RS.Name]; ok {
-			if err := rs.Load(rows); err != nil {
-				return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
-			}
-		}
-	case workflow.KindActivity:
-		preds := g.Providers(id)
-		inputs := make([]data.Rows, len(preds))
-		schemas := make([]data.Schema, len(preds))
-		for i, p := range preds {
-			inputs[i] = out[p]
-			schemas[i] = g.Node(p).Out
-		}
-		rows, err := e.execActivityTimed(id, n, schemas, inputs, rm)
-		if err != nil {
-			return fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
-		}
-		if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-			return err
-		}
-		out[id] = rows
-	}
-	return nil
-}
-
-// execActivityTimed runs one activity, observing its latency into the
-// per-node stage histogram and a per-node child span when either sink is
-// enabled; with both off the clock is never read. The journal's node
-// event is emitted by the caller after the node (retries included)
-// succeeds, so a journal records one node event per completed node.
-func (e *Engine) execActivityTimed(id workflow.NodeID, n *workflow.Node, schemas []data.Schema, inputs []data.Rows, rm *runMetrics) (data.Rows, error) {
-	h := rm.latency(id)
-	if h == nil && !rm.spanning() {
-		return e.execActivity(n, schemas, inputs)
-	}
-	sp := rm.nodeSpan(id)
-	start := time.Now()
-	rows, err := e.execActivity(n, schemas, inputs)
-	sec := time.Since(start).Seconds()
-	sp.End()
-	h.Observe(sec)
-	return rows, err
 }
 
 // scanSource reads a source recordset through its binding.
@@ -355,12 +300,6 @@ func (e *Engine) scanSource(n *workflow.Node) (data.Rows, error) {
 	return apply(relayout(rs.Schema(), n.RS.Schema), rows), nil
 }
 
-// projectForTarget lays provider rows out in the target recordset's
-// attribute order.
-func (e *Engine) projectForTarget(rows data.Rows, src, target data.Schema) data.Rows {
-	return apply(relayout(src, target), rows)
-}
-
 // lookupIndex is a lookup recordset interned by key: keys holds the key
 // tuple of every lookup row, and vals, for surrogate-key lookups, the
 // surrogate of each key id. It is read-only once built.
@@ -373,13 +312,9 @@ type lookupIndex struct {
 // keys each row by its first attribute, the production key, and maps it
 // to its second, the surrogate (a later row overrides an earlier one with
 // an equal key). A key-set index, for lookup-based primary-key checks,
-// keys each row by all of its attributes. When the engine carries a
-// run-scoped lookup cache (Parallel mode), each index is built once per
-// run and shared by every node and partition.
+// keys each row by all of its attributes. The run-scoped lookup cache
+// builds each index once and shares it with every node and partition.
 func (e *Engine) indexLookup(name string, surrogate bool) (*lookupIndex, error) {
-	if e.lookups == nil {
-		return e.buildLookupIndex(name, surrogate)
-	}
 	c := e.lookups
 	c.mu.Lock()
 	defer c.mu.Unlock()

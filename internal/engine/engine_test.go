@@ -12,8 +12,8 @@ import (
 )
 
 // runChain executes SRC(schema, rows) → acts → TGT and returns the target
-// rows, under the given mode.
-func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
+// rows, at partition count p.
+func runChain(t *testing.T, p int, schema data.Schema, rows data.Rows,
 	extra map[string]data.Recordset, acts ...*workflow.Activity) data.Rows {
 	t.Helper()
 	g := workflow.NewGraph()
@@ -40,7 +40,7 @@ func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
 	for k, v := range extra {
 		bindings[k] = v
 	}
-	e := New(bindings, WithMode(mode), WithBatchSize(3), WithPartitions(3))
+	e := New(bindings, WithPartitions(p))
 	res, err := e.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -48,20 +48,29 @@ func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
 	return res.Targets["TGT"]
 }
 
-func bothModes(t *testing.T, f func(t *testing.T, mode Mode)) {
-	t.Run("materialized", func(t *testing.T) { f(t, Materialized) })
-	t.Run("pipelined", func(t *testing.T) { f(t, Pipelined) })
-	t.Run("parallel", func(t *testing.T) { f(t, Parallel) })
+// partitionCounts are the counts the execution tests run under, named for
+// the path each takes: at P=1 every kernel runs on whole materialized
+// inputs, above it through the partitioned operators.
+var partitionCounts = []struct {
+	name string
+	p    int
+}{{"materialized", 1}, {"parallel", 3}, {"parallel-8", 8}}
+
+// eachPartitionCount runs f once per partition count, as a subtest.
+func eachPartitionCount(t *testing.T, f func(t *testing.T, p int)) {
+	for _, c := range partitionCounts {
+		t.Run(c.name, func(t *testing.T) { f(t, c.p) })
+	}
 }
 
 func TestFilterExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.NewFloat(50)},
 			{data.NewInt(2), data.NewFloat(150)},
 			{data.NewInt(3), data.Null},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil, templates.Threshold("V", 100, 0.5))
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil, templates.Threshold("V", 100, 0.5))
 		if len(got) != 1 || got[0][0].Int() != 2 {
 			t.Errorf("filter result = %v", got)
 		}
@@ -69,12 +78,12 @@ func TestFilterExecution(t *testing.T) {
 }
 
 func TestNotNullExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.Null},
 			{data.NewInt(2), data.NewFloat(1)},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil, templates.NotNull(0.9, "V"))
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil, templates.NotNull(0.9, "V"))
 		if len(got) != 1 || got[0][0].Int() != 2 {
 			t.Errorf("notnull result = %v", got)
 		}
@@ -82,9 +91,9 @@ func TestNotNullExecution(t *testing.T) {
 }
 
 func TestConvertExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{{data.NewInt(1), data.NewFloat(100)}}
-		got := runChain(t, mode, data.Schema{"K", "DCOST"}, rows, nil,
+		got := runChain(t, p, data.Schema{"K", "DCOST"}, rows, nil,
 			templates.Convert("dollar2euro", "ECOST", "DCOST"))
 		if len(got) != 1 {
 			t.Fatalf("convert result = %v", got)
@@ -97,9 +106,9 @@ func TestConvertExecution(t *testing.T) {
 }
 
 func TestReformatExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{{data.NewString("03/15/2004")}}
-		got := runChain(t, mode, data.Schema{"DATE"}, rows, nil,
+		got := runChain(t, p, data.Schema{"DATE"}, rows, nil,
 			templates.Reformat("a2edate", "DATE"))
 		if got[0][0].Str() != "15/03/2004" {
 			t.Errorf("reformat = %v", got[0][0])
@@ -108,9 +117,9 @@ func TestReformatExecution(t *testing.T) {
 }
 
 func TestProjectExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{{data.NewInt(1), data.NewString("drop me")}}
-		got := runChain(t, mode, data.Schema{"K", "X"}, rows, nil, templates.ProjectOut("X"))
+		got := runChain(t, p, data.Schema{"K", "X"}, rows, nil, templates.ProjectOut("X"))
 		if len(got) != 1 || len(got[0]) != 1 || got[0][0].Int() != 1 {
 			t.Errorf("project result = %v", got)
 		}
@@ -118,14 +127,14 @@ func TestProjectExecution(t *testing.T) {
 }
 
 func TestAggregateExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.NewFloat(10)},
 			{data.NewInt(1), data.NewFloat(20)},
 			{data.NewInt(2), data.NewFloat(5)},
 			{data.NewInt(2), data.Null}, // NULLs are skipped by sum
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil,
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil,
 			templates.Aggregate([]string{"K"}, workflow.AggSum, "V", "TOTV", 0.5))
 		if len(got) != 2 {
 			t.Fatalf("aggregate groups = %v", got)
@@ -157,7 +166,7 @@ func TestAggregateKinds(t *testing.T) {
 		{workflow.AggAvg, 15}, // avg over non-NULL
 	}
 	for _, c := range cases {
-		got := runChain(t, Materialized, data.Schema{"K", "V"}, rows, nil,
+		got := runChain(t, 1, data.Schema{"K", "V"}, rows, nil,
 			templates.Aggregate([]string{"K"}, c.agg, "V", "OUT", 0.5))
 		if len(got) != 1 || got[0][1].Float() != c.want {
 			t.Errorf("%v = %v, want %v", c.agg, got, c.want)
@@ -167,7 +176,7 @@ func TestAggregateKinds(t *testing.T) {
 
 func TestAggregateAllNullGroup(t *testing.T) {
 	rows := data.Rows{{data.NewInt(1), data.Null}}
-	got := runChain(t, Materialized, data.Schema{"K", "V"}, rows, nil,
+	got := runChain(t, 1, data.Schema{"K", "V"}, rows, nil,
 		templates.Aggregate([]string{"K"}, workflow.AggSum, "V", "OUT", 0.5))
 	if len(got) != 1 || !got[0][1].IsNull() {
 		t.Errorf("sum of all-NULL group = %v, want NULL", got)
@@ -175,13 +184,13 @@ func TestAggregateAllNullGroup(t *testing.T) {
 }
 
 func TestSurrogateKeyExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		lookup := data.NewMemoryRecordset("LKP", data.Schema{"K", "SK"}).MustLoad(data.Rows{
 			{data.NewInt(1), data.NewInt(1001)},
 			{data.NewInt(2), data.NewInt(1002)},
 		})
 		rows := data.Rows{{data.NewInt(2), data.NewFloat(7)}}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows,
+		got := runChain(t, p, data.Schema{"K", "V"}, rows,
 			map[string]data.Recordset{"LKP": lookup},
 			templates.SurrogateKey("K", "SK", "LKP"))
 		if len(got) != 1 {
@@ -216,13 +225,13 @@ func TestSurrogateKeyMissingKey(t *testing.T) {
 }
 
 func TestPKCheckGroupBased(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.NewFloat(1)},
 			{data.NewInt(1), data.NewFloat(2)}, // duplicate key: both rejected
 			{data.NewInt(2), data.NewFloat(3)},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil, templates.PKCheck(0.8, "K"))
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil, templates.PKCheck(0.8, "K"))
 		if len(got) != 1 || got[0][0].Int() != 2 {
 			t.Errorf("group-based pkcheck = %v", got)
 		}
@@ -230,7 +239,7 @@ func TestPKCheckGroupBased(t *testing.T) {
 }
 
 func TestPKCheckLookupBased(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		existing := data.NewMemoryRecordset("DWK", data.Schema{"K"}).MustLoad(data.Rows{
 			{data.NewInt(1)},
 		})
@@ -238,7 +247,7 @@ func TestPKCheckLookupBased(t *testing.T) {
 			{data.NewInt(1), data.NewFloat(1)}, // already in DW: rejected
 			{data.NewInt(2), data.NewFloat(2)},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows,
+		got := runChain(t, p, data.Schema{"K", "V"}, rows,
 			map[string]data.Recordset{"DWK": existing},
 			templates.PKCheckAgainst("DWK", 0.8, "K"))
 		if len(got) != 1 || got[0][0].Int() != 2 {
@@ -248,11 +257,11 @@ func TestPKCheckLookupBased(t *testing.T) {
 }
 
 func TestDistinctExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	eachPartitionCount(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1)}, {data.NewInt(1)}, {data.NewInt(2)},
 		}
-		got := runChain(t, mode, data.Schema{"K"}, rows, nil, templates.Distinct(0.7))
+		got := runChain(t, p, data.Schema{"K"}, rows, nil, templates.Distinct(0.7))
 		if len(got) != 2 {
 			t.Errorf("distinct = %v", got)
 		}
@@ -271,8 +280,8 @@ func TestMergedExecution(t *testing.T) {
 	rows := data.Rows{
 		{data.NewFloat(150)}, {data.Null}, {data.NewFloat(50)},
 	}
-	seq := runChain(t, Materialized, data.Schema{"V"}, rows, nil, templates.NotNull(0.9, "V"), templates.Threshold("V", 100, 0.5))
-	pkg := runChain(t, Materialized, data.Schema{"V"}, rows, nil, merged)
+	seq := runChain(t, 1, data.Schema{"V"}, rows, nil, templates.NotNull(0.9, "V"), templates.Threshold("V", 100, 0.5))
+	pkg := runChain(t, 1, data.Schema{"V"}, rows, nil, merged)
 	if !seq.EqualMultiset(pkg) {
 		t.Errorf("merged package differs from sequence: %v vs %v", seq, pkg)
 	}

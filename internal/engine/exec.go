@@ -11,8 +11,7 @@ import (
 // kernel is one activity compiled against its node's layouts: attribute
 // names are resolved to positions, the predicate is bound, the function
 // and lookup index are fetched, all once per node per run. A kernel is
-// read-only after compile, so the materialized path, every partition of
-// the parallel path and every batch of the pipelined path share one.
+// read-only after compile, so every partition of a node shares one.
 //
 // Kernels never mutate a record they receive. Records they emit are
 // either input records passed through unchanged (filters, set operators)
@@ -231,17 +230,6 @@ func componentOutput(a *workflow.Activity, in data.Schema) (data.Schema, error) 
 	return tmp.Node(act).Out, nil
 }
 
-// execActivity compiles and runs one activity over fully materialized
-// inputs. schemas and inputs are aligned with the node's providers; the
-// returned rows are laid out by the node's derived output schema.
-func (e *Engine) execActivity(n *workflow.Node, schemas []data.Schema, inputs []data.Rows) (data.Rows, error) {
-	k, err := e.compile(n.Act, schemas, n.In, n.Out)
-	if err != nil {
-		return nil, err
-	}
-	return k.run(inputs)
-}
-
 // run executes the kernel over whole inputs laid out by the providers'
 // schemas, realigning them to the node's derived input schemata first
 // (layouts may differ after graph rewrites reorder attribute generation).
@@ -254,7 +242,8 @@ func (k *kernel) run(inputs []data.Rows) (data.Rows, error) {
 }
 
 // exec dispatches on the activity's semantics over inputs already laid
-// out by k.in.
+// out by k.in. It is the reference semantics: the P=1 run executes every
+// activity through it, and the partitioned operators must reproduce it.
 func (k *kernel) exec(in []data.Rows) (data.Rows, error) {
 	switch k.a.Sem.Op {
 	case workflow.OpFilter, workflow.OpNotNull, workflow.OpPKCheck, workflow.OpDistinct:
@@ -291,8 +280,8 @@ func (k *kernel) exec(in []data.Rows) (data.Rows, error) {
 
 // The filtering operators are written as mask producers: each returns
 // keep[i] for row i, and the caller applies the mask. This split is what
-// lets the parallel engine reuse the exact materialized-mode semantics on
-// a partition while carrying each survivor's sequence tag through
+// lets a partitioned run (P>1) reuse the exact P=1 semantics on a
+// partition while carrying each survivor's sequence tag through
 // (parallel.go): a mask identifies *which* rows survive, which a plain
 // filtered slice cannot.
 
@@ -318,13 +307,13 @@ func applyMask(rows data.Rows, keep []bool) data.Rows {
 // Partition contracts:
 //   - filter, notnull and lookup-based pkcheck are per-row and
 //     order-preserving, so they run partition-locally on any
-//     partitioning; the parallel engine shares one kernel, and so one
+//     partitioning; a partitioned run shares one kernel, and so one
 //     lookup index, across partitions.
 //   - group-based pkcheck needs every row of a key group in one place, so
-//     the parallel engine exchanges rows by key tuple first;
+//     a partitioned run exchanges rows by key tuple first;
 //     partition-local counts are then global counts.
-//   - distinct needs all copies of a record to meet, so the parallel
-//     engine exchanges by the full record; first occurrence within a
+//   - distinct needs all copies of a record to meet, so a partitioned
+//     run exchanges by the full record; first occurrence within a
 //     partition (by sequence tag) then equals first occurrence globally.
 func (k *kernel) mask(rows data.Rows) ([]bool, error) {
 	keep := make([]bool, len(rows))
@@ -434,8 +423,8 @@ type aggState struct {
 // result order-sensitive in a controlled way; first[g] is the index of
 // group g's first row.
 //
-// Partition contract: a group's rows must be co-located, so the parallel
-// engine exchanges by grouper tuple; each group's output row then carries
+// Partition contract: a group's rows must be co-located, so a partitioned
+// run exchanges by grouper tuple; each group's output row then carries
 // the sequence tag of the group's first input row, restoring global
 // first-seen order at the merge.
 func (k *kernel) aggregate(rows data.Rows) (data.Rows, []int, error) {
@@ -555,7 +544,7 @@ func (jl joinLayout) build(left, right data.Rows, pairs [][2]int32) data.Rows {
 // left and right row indices output row i was built from.
 //
 // Partition contract: both inputs are exchanged by the join key tuple, so
-// every matching pair is co-located; the parallel engine tags each output
+// every matching pair is co-located; a partitioned run tags each output
 // row with its (left seq, right seq) pair and merges partitions in that
 // lexicographic order, reproducing this nested-loop order exactly.
 func (k *kernel) join(left, right data.Rows) (data.Rows, [][2]int32) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -22,12 +23,13 @@ func TestEngineTransientFaultsRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{Materialized, Parallel} {
+	for _, p := range []int{1, 4} {
+		mode := fmt.Sprintf("P=%d", p)
 		plan := fault.NewPlan(1, 1.0)
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
 		res, err := New(sc.Bind(),
-			WithMode(mode), WithPartitions(4), WithJournal(j),
+			WithPartitions(p), WithJournal(j),
 			WithFaultPlan(plan),
 			WithRetry(fault.Policy{MaxAttempts: 8, Seed: 1}),
 		).Run(context.Background(), sc.Graph)
@@ -72,7 +74,7 @@ func TestEngineTransientFaultsRecover(t *testing.T) {
 func TestEnginePermanentFaultTyped(t *testing.T) {
 	sc := templates.Fig1Scenario(40, 120)
 	_, err := New(sc.Bind(),
-		WithMode(Parallel), WithPartitions(4),
+		WithPartitions(4),
 		WithFaultPlan(fault.NewPlan(7, 1.0, fault.WithKind(fault.Permanent))),
 		WithRetry(fault.Policy{MaxAttempts: 8, Seed: 7}),
 	).Run(context.Background(), sc.Graph)
@@ -145,7 +147,7 @@ func TestEngineZeroRatePlanInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := New(sc.Bind(),
-		WithMode(Parallel), WithPartitions(4),
+		WithPartitions(4),
 		WithFaultPlan(fault.NewPlan(11, 0)),
 		WithRetry(fault.Policy{MaxAttempts: 4, Seed: 11}),
 	).Run(context.Background(), sc.Graph)

@@ -14,9 +14,9 @@ import (
 
 // TestJournalDoesNotAffectExecution is the engine half of the
 // flight-recorder determinism guard: with the journal (and pprof
-// partition labels) attached, every mode at partition counts 1 and 8
-// must load bit-identical target rows and report identical per-node row
-// counts.
+// partition labels) attached, the default engine and explicit partition
+// counts 1 and 8 must load bit-identical target rows and report
+// identical per-node row counts.
 func TestJournalDoesNotAffectExecution(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
 	configs := []struct {
@@ -24,9 +24,8 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 		opts []Option
 	}{
 		{"materialized", nil},
-		{"pipelined", []Option{WithMode(Pipelined)}},
-		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}},
-		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}},
+		{"parallel-1", []Option{WithPartitions(1)}},
+		{"parallel-8", []Option{WithPartitions(8)}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -76,11 +75,10 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 	}
 }
 
-// TestJournalEngineEvents checks the mode-specific event payloads of a
-// journaled run: materialized runs carry per-node events whose row counts
-// match the result, parallel runs additionally carry per-partition batch
-// events summing to the node totals plus exchange events for
-// key-sensitive operators.
+// TestJournalEngineEvents checks the event payloads of a journaled run:
+// a P=1 run carries per-node events whose row counts match the result, a
+// partitioned run per-partition batch events summing to the node totals
+// plus exchange events for key-sensitive operators.
 func TestJournalEngineEvents(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
 
@@ -129,7 +127,7 @@ func TestJournalEngineEvents(t *testing.T) {
 		const parts = 4
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
-		res, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(parts), WithJournal(j)).
+		res, err := New(sc.Bind(), WithPartitions(parts), WithJournal(j)).
 			Run(context.Background(), sc.Graph)
 		if err != nil {
 			t.Fatal(err)

@@ -41,8 +41,8 @@ func benchInput(offset int) data.Rows {
 }
 
 // BenchmarkKernel runs each activity template alone, source → activity →
-// target, through the materialized engine: the kernel's compile and
-// execution plus a source scan, per op.
+// target, through the engine at P=1: the kernel's compile and execution
+// plus a source scan, per op.
 func BenchmarkKernel(b *testing.B) {
 	left, right := benchInput(0), benchInput(512)
 	joinSchema := data.Schema{"K", "W"}

@@ -2,15 +2,16 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"etlopt/internal/obs"
 	"etlopt/internal/workflow"
 )
 
 // WithMetrics attaches an observability registry to the engine: each run
-// then reports per-activity input/output row counts, stage latencies,
-// observed-vs-modeled selectivities and (in pipelined mode) backpressure
-// waits. Collection is write-only — the engine never reads an instrument
+// then reports per-node output row counts (in total and per partition),
+// stage latencies, partition busy times, exchanged rows and
+// observed-vs-modeled selectivities. Collection is write-only — the engine never reads an instrument
 // back — so execution results are identical with metrics on or off. A nil
 // registry leaves collection disabled (the default).
 func WithMetrics(r *obs.Registry) Option { return func(e *Engine) { e.metrics = r } }
@@ -24,7 +25,7 @@ func WithMetrics(r *obs.Registry) Option { return func(e *Engine) { e.metrics = 
 // TestJournalDoesNotAffectExecution). A nil journal disables emission.
 func WithJournal(j *obs.Journal) Option { return func(e *Engine) { e.journal = j } }
 
-// WithPprofLabels tags Parallel mode's partition workers with
+// WithPprofLabels tags the partition workers with
 // runtime/pprof labels (etl=engine, etl_node, etl_partition), so CPU
 // profiles attribute samples to the node and partition that burned them.
 func WithPprofLabels() Option { return func(e *Engine) { e.pprofLabels = true } }
@@ -35,11 +36,8 @@ func WithPprofLabels() Option { return func(e *Engine) { e.pprofLabels = true } 
 // *runMetrics (metrics and journal both disabled) makes every accessor
 // return a nil handle, which no-ops.
 type runMetrics struct {
-	rowsOut      map[workflow.NodeID]*obs.Counter   // engine_rows_out_total{node}
-	nodeSec      map[workflow.NodeID]*obs.Histogram // engine_node_seconds{node}
-	backpressure map[workflow.NodeID]*obs.Counter   // engine_backpressure_waits_total{node}
-
-	// Parallel-mode series, allocated only when partitions > 0.
+	rowsOut   map[workflow.NodeID]*obs.Counter   // engine_rows_out_total{node}
+	nodeSec   map[workflow.NodeID]*obs.Histogram // engine_node_seconds{node}
 	partRows  map[workflow.NodeID][]*obs.Counter // engine_partition_rows_out_total{node,partition}
 	partBusy  []*obs.Gauge                       // engine_partition_busy_seconds{partition}
 	exchanged map[workflow.NodeID]*obs.Counter   // engine_exchange_rows_total{node}
@@ -48,7 +46,7 @@ type runMetrics struct {
 	// each node's metric label so journal emission never re-renders it.
 	j    *obs.Journal
 	keys map[workflow.NodeID]string
-	// span is the run's mode span; per-node spans child from it so the
+	// span is the run's span; per-node spans child from it so the
 	// trace export shows node execution nested under the run.
 	span *obs.Span
 }
@@ -59,49 +57,40 @@ func nodeKey(id workflow.NodeID, n *workflow.Node) string {
 	return fmt.Sprintf("%d:%s", id, n.Label())
 }
 
-// newRunMetrics prefetches handles for every node of the graph; nil when
-// the engine has neither a registry nor a journal. partitions > 0
-// (Parallel mode) additionally prefetches the per-partition and exchange
-// series. With a journal but no registry every instrument handle is nil
-// (the nil registry hands out nil handles) and only the journal side is
-// live.
-func (e *Engine) newRunMetrics(g *workflow.Graph, partitions int) *runMetrics {
+// newRunMetrics prefetches handles for every node and partition of the
+// graph's run; nil when the engine has neither a registry nor a journal.
+// With a journal but no registry every instrument handle is nil (the nil
+// registry hands out nil handles) and only the journal side is live.
+func (e *Engine) newRunMetrics(g *workflow.Graph) *runMetrics {
 	if e.metrics == nil && e.journal == nil {
 		return nil
 	}
+	p := e.partitions
 	m := &runMetrics{
-		rowsOut:      make(map[workflow.NodeID]*obs.Counter),
-		nodeSec:      make(map[workflow.NodeID]*obs.Histogram),
-		backpressure: make(map[workflow.NodeID]*obs.Counter),
-		j:            e.journal,
-		keys:         make(map[workflow.NodeID]string),
+		rowsOut:   make(map[workflow.NodeID]*obs.Counter),
+		nodeSec:   make(map[workflow.NodeID]*obs.Histogram),
+		partRows:  make(map[workflow.NodeID][]*obs.Counter),
+		partBusy:  make([]*obs.Gauge, p),
+		exchanged: make(map[workflow.NodeID]*obs.Counter),
+		j:         e.journal,
+		keys:      make(map[workflow.NodeID]string),
 	}
-	if partitions > 0 {
-		m.partRows = make(map[workflow.NodeID][]*obs.Counter)
-		m.partBusy = make([]*obs.Gauge, partitions)
-		m.exchanged = make(map[workflow.NodeID]*obs.Counter)
-		for p := 0; p < partitions; p++ {
-			m.partBusy[p] = e.metrics.Gauge("engine_partition_busy_seconds", "partition", fmt.Sprint(p))
-		}
+	for q := 0; q < p; q++ {
+		m.partBusy[q] = e.metrics.Gauge("engine_partition_busy_seconds", "partition", fmt.Sprint(q))
 	}
 	for _, id := range g.Nodes() {
 		key := nodeKey(id, g.Node(id))
 		m.keys[id] = key
 		m.rowsOut[id] = e.metrics.Counter("engine_rows_out_total", "node", key)
-		m.backpressure[id] = e.metrics.Counter("engine_backpressure_waits_total", "node", key)
+		handles := make([]*obs.Counter, p)
+		for q := 0; q < p; q++ {
+			handles[q] = e.metrics.Counter("engine_partition_rows_out_total",
+				"node", key, "partition", fmt.Sprint(q))
+		}
+		m.partRows[id] = handles
 		if g.Node(id).Kind == workflow.KindActivity {
 			m.nodeSec[id] = e.metrics.Histogram("engine_node_seconds", nil, "node", key)
-		}
-		if partitions > 0 {
-			handles := make([]*obs.Counter, partitions)
-			for p := 0; p < partitions; p++ {
-				handles[p] = e.metrics.Counter("engine_partition_rows_out_total",
-					"node", key, "partition", fmt.Sprint(p))
-			}
-			m.partRows[id] = handles
-			if g.Node(id).Kind == workflow.KindActivity {
-				m.exchanged[id] = e.metrics.Counter("engine_exchange_rows_total", "node", key)
-			}
+			m.exchanged[id] = e.metrics.Counter("engine_exchange_rows_total", "node", key)
 		}
 	}
 	return m
@@ -124,17 +113,10 @@ func (m *runMetrics) latency(id workflow.NodeID) *obs.Histogram {
 	return m.nodeSec[id]
 }
 
-func (m *runMetrics) stall(id workflow.NodeID) *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.backpressure[id]
-}
-
 // partRow returns the rows-out counter of one partition of a node; nil
-// when metrics or parallel-mode series are disabled.
+// when metrics are disabled.
 func (m *runMetrics) partRow(id workflow.NodeID, p int) *obs.Counter {
-	if m == nil || m.partRows == nil {
+	if m == nil {
 		return nil
 	}
 	if hs := m.partRows[id]; p < len(hs) {
@@ -165,20 +147,38 @@ func (m *runMetrics) journaling() bool { return m != nil && m.j != nil }
 // spanning reports whether per-node child spans are live.
 func (m *runMetrics) spanning() bool { return m != nil && m.span != nil }
 
-// setSpan installs the run's mode span (nil-safe).
+// setSpan installs the run's span (nil-safe).
 func (m *runMetrics) setSpan(sp *obs.Span) {
 	if m != nil {
 		m.span = sp
 	}
 }
 
-// nodeSpan opens a per-node child span under the mode span; nil (no-op
+// nodeSpan opens a per-node child span under the run's span; nil (no-op
 // End) when spans are disabled.
 func (m *runMetrics) nodeSpan(id workflow.NodeID) *obs.Span {
 	if m == nil || m.span == nil {
 		return nil
 	}
 	return m.span.Child("node/" + m.keys[id])
+}
+
+// timed runs one activity's work, observing its latency into the
+// per-node stage histogram and a per-node child span when either sink is
+// enabled; with both off the clock is never read. The journal's node
+// event is emitted by the caller after the node (retries included)
+// succeeds, so a journal records one node event per completed node.
+func (m *runMetrics) timed(id workflow.NodeID, fn func() error) error {
+	h := m.latency(id)
+	if h == nil && !m.spanning() {
+		return fn()
+	}
+	sp := m.nodeSpan(id)
+	start := time.Now()
+	err := fn()
+	sp.End()
+	h.Observe(time.Since(start).Seconds())
+	return err
 }
 
 // nodeEvent journals one node's completed execution: rows emitted and
@@ -204,18 +204,17 @@ func (m *runMetrics) exchangeEvent(id workflow.NodeID, rows int) {
 }
 
 // recordRun exports a completed run's whole-run series: the run counter
-// and latency by mode, the per-node emitted-row counts (materialized mode
-// fills them here; pipelined mode already streamed them), and the
-// observed-vs-modeled selectivity gauges — the empirical check of the §5
-// cost model's central parameter. With a journal attached each
-// selectivity observation is also emitted as a drift event, so the
-// flight-recorder report can rank activities by model error.
-func (e *Engine) recordRun(g *workflow.Graph, res *RunResult, modeName string) {
+// and latency, and the observed-vs-modeled selectivity gauges — the
+// empirical check of the §5 cost model's central parameter. With a
+// journal attached each selectivity observation is also emitted as a
+// drift event, so the flight-recorder report can rank activities by model
+// error.
+func (e *Engine) recordRun(g *workflow.Graph, res *RunResult) {
 	if e.metrics == nil && e.journal == nil {
 		return
 	}
-	e.metrics.Counter("engine_runs_total", "mode", modeName).Inc()
-	e.metrics.Histogram("engine_run_seconds", nil, "mode", modeName).Observe(res.Elapsed.Seconds())
+	e.metrics.Counter("engine_runs_total").Inc()
+	e.metrics.Histogram("engine_run_seconds", nil).Observe(res.Elapsed.Seconds())
 	// Observed selectivity uses the cost model's own formulas (see
 	// cost.Calibrate / cost.SelectivityDeltas): out/in for unaries,
 	// out/(in₁·in₂) for joins; unions carry no selectivity, and activities

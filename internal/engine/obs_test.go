@@ -11,32 +11,41 @@ import (
 )
 
 // TestMetricsDoNotAffectExecution pins that attaching a registry changes
-// nothing about a run's results, in either mode.
+// nothing about a run's results at P=1 and at P=8, where the partition
+// workers update the counters concurrently (most valuable under -race),
+// and that the rows counters agree with the result.
 func TestMetricsDoNotAffectExecution(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
-	for _, mode := range []struct {
+	for _, c := range []struct {
 		name string
-		mode Mode
-	}{{"materialized", Materialized}, {"pipelined", Pipelined}} {
-		t.Run(mode.name, func(t *testing.T) {
-			plain, err := New(sc.Bind(), WithMode(mode.mode)).Run(context.Background(), sc.Graph)
+		p    int
+	}{{"materialized", 1}, {"parallel-8", 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := New(sc.Bind(), WithPartitions(c.p)).Run(context.Background(), sc.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			instr, err := New(sc.Bind(), WithMode(mode.mode), WithMetrics(reg)).Run(context.Background(), sc.Graph)
+			instr, err := New(sc.Bind(), WithPartitions(c.p), WithMetrics(reg)).Run(context.Background(), sc.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for name, rows := range plain.Targets {
-				if len(instr.Targets[name]) != len(rows) {
-					t.Errorf("target %s: %d rows with metrics, %d without",
-						name, len(instr.Targets[name]), len(rows))
+				if !rowsIdentical(instr.Targets[name], rows) {
+					t.Errorf("target %s not bit-identical with metrics attached", name)
 				}
 			}
 			for id, n := range plain.NodeRows {
 				if instr.NodeRows[id] != n {
 					t.Errorf("node %d: %d rows with metrics, %d without", id, instr.NodeRows[id], n)
+				}
+			}
+			snap := reg.Snapshot()
+			for id, want := range instr.NodeRows {
+				key := nodeKey(id, sc.Graph.Node(id))
+				got, ok := snap.CounterValue(`engine_rows_out_total{node="` + key + `"}`)
+				if !ok || got != int64(want) {
+					t.Errorf("rows counter for node %s = %d, %v; want %d", key, got, ok, want)
 				}
 			}
 		})
@@ -54,7 +63,7 @@ func TestEngineMetricsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="materialized"}`); !ok || v != 1 {
+	if v, ok := snap.CounterValue(`engine_runs_total`); !ok || v != 1 {
 		t.Fatalf("engine_runs_total = %d, %v; want 1", v, ok)
 	}
 	for id, want := range res.NodeRows {
@@ -91,9 +100,6 @@ func TestEngineMetricsSeries(t *testing.T) {
 	if !sawSel {
 		t.Error("no observed selectivity recorded")
 	}
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="pipelined"}`); ok && v != 0 {
-		t.Errorf("pipelined run counter unexpectedly %d", v)
-	}
 }
 
 // TestCancellationErrorIsDiagnosable covers the wrapped context errors:
@@ -113,40 +119,14 @@ func TestCancellationErrorIsDiagnosable(t *testing.T) {
 			t.Fatalf("materialized cancellation error not diagnosable: %q", msg)
 		}
 	})
-	t.Run("pipelined", func(t *testing.T) {
-		_, err := New(sc.Bind(), WithMode(Pipelined)).Run(ctx, sc.Graph)
+	t.Run("parallel", func(t *testing.T) {
+		_, err := New(sc.Bind(), WithPartitions(4)).Run(ctx, sc.Graph)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		msg := err.Error()
-		if !strings.Contains(msg, "pipelined run cancelled") || !strings.Contains(msg, "rows") {
-			t.Fatalf("pipelined cancellation error not diagnosable: %q", msg)
+		if !strings.Contains(msg, "cancelled before node") || !strings.Contains(msg, "rows") {
+			t.Fatalf("partitioned cancellation error not diagnosable: %q", msg)
 		}
 	})
-}
-
-// TestPipelinedMetricsUnderRace exercises the instrumented pipelined mode
-// (concurrent counters, backpressure probes, per-batch latency) — most
-// valuable under -race.
-func TestPipelinedMetricsUnderRace(t *testing.T) {
-	sc := templates.Fig1Scenario(300, 900)
-	reg := obs.NewRegistry()
-	// A tiny batch size forces many sends per edge, exercising the
-	// backpressure probe path.
-	res, err := New(sc.Bind(), WithMode(Pipelined), WithBatchSize(8), WithMetrics(reg)).
-		Run(context.Background(), sc.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	for id, want := range res.NodeRows {
-		key := nodeKey(id, sc.Graph.Node(id))
-		got, ok := snap.CounterValue(`engine_rows_out_total{node="` + key + `"}`)
-		if !ok || got != int64(want) {
-			t.Errorf("rows counter for node %s = %d, %v; want %d", key, got, ok, want)
-		}
-	}
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="pipelined"}`); !ok || v != 1 {
-		t.Fatalf("engine_runs_total{mode=pipelined} = %d, %v; want 1", v, ok)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -15,26 +14,27 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// This file implements the Parallel execution mode: every recordset is
-// split across P partitions, order-preserving operators run partition by
-// partition with no coordination, and key-sensitive operators repartition
-// their input by key tuple first so that all rows that must meet share a
-// partition.
+// This file implements execution at P>1: every recordset is split across
+// P partitions, order-preserving operators run partition by partition
+// with no coordination, and key-sensitive operators repartition their
+// input by key tuple first so that all rows that must meet share a
+// partition. At P=1 a node's output is a single untagged partition and
+// activities run through their kernels on whole inputs.
 //
-// Determinism is carried by sequence tags. Each partitioned row owns an
-// int64 tag with two invariants:
+// Determinism is carried by sequence tags. At P>1 each partitioned row
+// owns an int64 tag with two invariants:
 //
 //  1. tags are strictly increasing within a partition, and
 //  2. sorting all of a node's rows by tag reproduces exactly the row
-//     order the materialized engine would have produced for that node.
+//     order the P=1 run produces for that node.
 //
 // Source scatter establishes the invariants (row i of a scan gets tag i),
 // every operator preserves them (see the "Partition contract" comments in
 // exec.go), and the final gather is a k-way merge by tag — so the target
-// rows are bit-identical to Materialized mode at any partition count.
+// rows are bit-identical to P=1 at any partition count.
 
 // pslice is one partition of a node's output: rows plus their sequence
-// tags, index-aligned. A pslice is immutable once built.
+// tags, index-aligned (no tags at P=1). A pslice is immutable once built.
 type pslice struct {
 	rows data.Rows
 	seqs []int64
@@ -67,6 +67,16 @@ func (pd *pdata) maxSeq() int64 {
 		}
 	}
 	return max
+}
+
+// partitioned deals fresh rows into p partitions: at P=1 the single
+// partition holds them as they are, untagged and uncopied; above, through
+// scatterRows.
+func partitioned(rows data.Rows, p int) *pdata {
+	if p == 1 {
+		return &pdata{parts: []pslice{{rows: rows}}}
+	}
+	return scatterRows(rows, p)
 }
 
 // scatterRows deals rows round-robin into P partitions, tagging row i
@@ -115,7 +125,8 @@ func mergeBySeq(parts []pslice) pslice {
 	return out
 }
 
-// gather restores a node's materialized row order (invariant 2).
+// gather restores a node's row order (invariant 2); at P=1 it is the
+// single partition's rows.
 func gather(pd *pdata) data.Rows { return mergeBySeq(pd.parts).rows }
 
 // realignPdata re-lays each partition's rows out through proj, keeping
@@ -174,15 +185,6 @@ type lookupKey struct {
 	surrogate bool
 }
 
-// partitionCount resolves the configured partition count; default is the
-// number of CPUs.
-func (e *Engine) partitionCount() int {
-	if e.partitions > 0 {
-		return e.partitions
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // withLookupCache returns a copy of the engine carrying a fresh run-scoped
 // lookup cache. The copy shares the (read-only) bindings and metrics.
 func (e *Engine) withLookupCache() *Engine {
@@ -191,127 +193,10 @@ func (e *Engine) withLookupCache() *Engine {
 	return &ec
 }
 
-// runParallel evaluates the graph node by node in topological order like
-// runMaterialized, but holds every intermediate recordset partitioned and
-// executes each activity across P partition workers.
-func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetrics) (*RunResult, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	p := e.partitionCount()
-	ec := e.withLookupCache()
-	out := make(map[workflow.NodeID]*pdata, len(order))
-	readers := readerCounts(g, order)
-	res := &RunResult{
-		Targets:  make(map[string]data.Rows),
-		NodeRows: make(map[workflow.NodeID]int),
-	}
-	rowsSoFar := 0
-	for _, id := range order {
-		n := g.Node(id)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: parallel run cancelled before node %d (%s) after %d rows: %w",
-				id, n.Label(), rowsSoFar, err)
-		}
-		count := 0
-		switch n.Kind {
-		case workflow.KindRecordset:
-			preds := g.Providers(id)
-			if len(preds) == 0 {
-				var pd *pdata
-				if err := e.runNode(ctx, id, n, func() error {
-					if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-						return err
-					}
-					rows, err := ec.scanSource(n)
-					if err != nil {
-						return err
-					}
-					if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-						return err
-					}
-					pd = scatterRows(rows, p)
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-				out[id] = pd
-				count = pd.total()
-			} else {
-				// Targets are where the partitioned world ends: merge the
-				// provider's partitions back into materialized order. The
-				// emit check precedes the Load, so a retried target never
-				// loads twice.
-				if err := e.runNode(ctx, id, n, func() error {
-					if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-						return err
-					}
-					rows := gather(out[preds[0]])
-					rows = ec.projectForTarget(rows, g.Node(preds[0]).Out, n.RS.Schema)
-					if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-						return err
-					}
-					res.Targets[n.RS.Name] = rows
-					count = len(rows)
-					if rs, ok := ec.bindings[n.RS.Name]; ok {
-						if err := rs.Load(rows); err != nil {
-							return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
-						}
-					}
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-			}
-		case workflow.KindActivity:
-			var pd *pdata
-			if err := e.runNodeJournaled(ctx, id, n, rm, func() int { return pd.total() }, func() error {
-				if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-					return err
-				}
-				sp := rm.nodeSpan(id)
-				var err error
-				pd, err = ec.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
-				sp.End()
-				if err != nil {
-					return err
-				}
-				// Per-partition emit checks mirror forEachPartition's
-				// no-short-circuit rule: every partition's occurrence is
-				// consumed even after one fires, so the plan's schedule is
-				// independent of which partition fails first.
-				var emitErr error
-				if e.faults != nil {
-					for q := 0; q < p; q++ {
-						if ferr := e.checkFault(ctx, fault.SiteEmit, id, n, q); ferr != nil && emitErr == nil {
-							emitErr = ferr
-						}
-					}
-				}
-				return emitErr
-			}); err != nil {
-				return nil, err
-			}
-			out[id] = pd
-			count = pd.total()
-			for q, ps := range pd.parts {
-				rm.partRow(id, q).Add(int64(len(ps.rows)))
-				rm.batchEvent(id, q, len(ps.rows))
-			}
-		}
-		res.NodeRows[id] = count
-		rowsSoFar += count
-		rm.rows(id).Add(int64(count))
-		release(g, id, out, readers)
-	}
-	return res, nil
-}
-
 // forEachPartition runs fn(p) for every partition on its own goroutine,
 // observing per-partition busy time. A context already cancelled when a
-// partition starts yields the parallel cancellation error (node, partition
-// and progress identified); otherwise the lowest-indexed partition error
+// partition starts yields the cancellation error (node, partition and
+// progress identified); otherwise the lowest-indexed partition error
 // wins, deterministically.
 func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *workflow.Node, p int, rm *runMetrics, rowsSoFar int, fn func(q int) error) error {
 	errs := make([]error, p)
@@ -321,7 +206,7 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 		go func(q int) {
 			defer wg.Done()
 			if err := ctx.Err(); err != nil {
-				errs[q] = fmt.Errorf("engine: parallel run cancelled at node %d (%s) partition %d after %d rows: %w",
+				errs[q] = fmt.Errorf("engine: run cancelled at node %d (%s) partition %d after %d rows: %w",
 					id, n.Label(), q, rowsSoFar, err)
 				return
 			}
@@ -359,10 +244,6 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 // reproducible across runs and builds. Rows routed are counted on the
 // node's exchange series.
 func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rm *runMetrics, rowsSoFar int, pos []int) (*pdata, error) {
-	if p == 1 {
-		// A single partition already co-locates every key; nothing routes.
-		return pd, nil
-	}
 	// Phase 1, partition-parallel: each source partition deals its rows
 	// into per-destination buckets; buckets inherit ascending tags.
 	buckets := make([][]pslice, p) // [src][dst]
@@ -402,19 +283,38 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	return result, nil
 }
 
-// execParallel compiles one activity once and runs it over partitioned
-// inputs; every partition shares the kernel. Cancellation errors pass
-// through already annotated; any other failure is wrapped with the
-// activity's identity like the materialized path.
-func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
+// execActivity compiles one activity once and runs it over its
+// providers' outputs; every partition shares the kernel. At P=1 the
+// kernel runs on the whole inputs; above, execParallelOp runs it over the
+// partitions. Each partition's emit site follows. Cancellation errors
+// pass through already annotated; any other failure is wrapped with the
+// activity's identity.
+func (e *Engine) execActivity(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, rm *runMetrics, rowsSoFar int) (*pdata, error) {
+	p := e.partitions
 	preds := g.Providers(id)
 	provided := make([]data.Schema, len(preds))
 	for i, pr := range preds {
 		provided[i] = g.Node(pr).Out
 	}
-	k, err := e.compile(n.Act, provided, n.In, n.Out)
 	var pd *pdata
-	if err == nil {
+	err := rm.timed(id, func() error {
+		k, err := e.compile(n.Act, provided, n.In, n.Out)
+		if err != nil {
+			return err
+		}
+		if p == 1 {
+			inputs := make([]data.Rows, len(preds))
+			for i, pr := range preds {
+				inputs[i] = out[pr].parts[0].rows
+			}
+			var rows data.Rows
+			err = e.forEachPartition(ctx, id, n, 1, rm, rowsSoFar, func(int) (err error) {
+				rows, err = k.run(inputs)
+				return err
+			})
+			pd = partitioned(rows, 1)
+			return err
+		}
 		// Align every input to the node's derived input layout up front,
 		// so key positions and per-partition execution see n.In[i]
 		// layouts.
@@ -423,14 +323,27 @@ func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflo
 			inputs[i] = realignPdata(out[pr], k.realign[i])
 		}
 		pd, err = e.execParallelOp(ctx, id, n, k, inputs, p, rm, rowsSoFar)
-	}
+		return err
+	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
 	}
-	return pd, nil
+	// Per-partition emit checks mirror forEachPartition's no-short-circuit
+	// rule: every partition's occurrence is consumed even after one fires,
+	// so the plan's schedule is independent of which partition fails
+	// first.
+	var emitErr error
+	if e.faults != nil {
+		for q := 0; q < p; q++ {
+			if ferr := e.checkFault(ctx, fault.SiteEmit, id, n, q); ferr != nil && emitErr == nil {
+				emitErr = ferr
+			}
+		}
+	}
+	return pd, emitErr
 }
 
 func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *workflow.Node, k *kernel, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
@@ -529,6 +442,27 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 	}
 }
 
+// streamable reports whether an activity processes each record
+// independently and in order, so it runs partition-locally with no
+// exchange.
+func streamable(a *workflow.Activity) bool {
+	switch a.Sem.Op {
+	case workflow.OpFilter, workflow.OpNotNull, workflow.OpProject, workflow.OpFunc, workflow.OpSurrogateKey:
+		return true
+	case workflow.OpPKCheck:
+		return a.Sem.Lookup != ""
+	case workflow.OpMerged:
+		for _, comp := range a.Sem.Components {
+			if !streamable(comp) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
 // execLocal runs one order-preserving activity on a single partition,
 // carrying tags through: filters keep survivor tags, 1:1 transforms keep
 // all tags, merged packages thread both through their components.
@@ -562,8 +496,8 @@ func (k *kernel) execLocal(ps pslice) (pslice, error) {
 
 // parUnion concatenates the inputs partition-wise: left rows keep their
 // tags, right tags are shifted past the left input's global maximum, so
-// the merged order is all left rows then all right rows — the
-// materialized union order.
+// the merged order is all left rows then all right rows — the P=1 union
+// order.
 func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, k *kernel, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	l, r := inputs[0], inputs[1]
 	offset := l.maxSeq() + 1
@@ -586,7 +520,7 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 
 // parJoin joins each partition of the key-exchanged inputs in nested-loop
 // order, then k-way merges the partitions by (left tag, right tag) — the
-// exact materialized join order — and re-scatters the merged rows with
+// exact P=1 join order — and re-scatters the merged rows with
 // fresh tags.
 func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, k *kernel, lex, rex *pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	type joined struct {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 )
 
 // rowsIdentical reports bit-identity: same rows, same order, same values.
-// This is deliberately stricter than EqualMultiset — Parallel mode
-// promises the materialized row order, not just the multiset.
+// This is deliberately stricter than EqualMultiset — a partitioned run
+// promises the P=1 row order, not just the multiset.
 func rowsIdentical(a, b data.Rows) bool {
 	if len(a) != len(b) {
 		return false
@@ -33,10 +32,11 @@ func rowsIdentical(a, b data.Rows) bool {
 	return true
 }
 
-// TestParallelMatchesMaterialized is the mode's core contract: for
-// generated scenarios across all three size categories, every target is
-// byte-identical to the materialized run at P ∈ {1, 2, 4, 8}, and the
-// per-node row counts agree.
+// TestParallelMatchesMaterialized is the partitioned operators' core
+// contract: for generated scenarios across all three size categories,
+// every target is byte-identical to the P=1 run, whose kernels execute on
+// whole materialized inputs, at P ∈ {2, 4, 8}, and the per-node row
+// counts agree.
 func TestParallelMatchesMaterialized(t *testing.T) {
 	cats := []generator.Category{generator.Small, generator.Medium, generator.Large}
 	for _, cat := range cats {
@@ -49,8 +49,8 @@ func TestParallelMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cat %v seed %d materialized: %v", cat, seed, err)
 			}
-			for _, p := range []int{1, 2, 4, 8} {
-				par, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(p)).Run(context.Background(), sc.Graph)
+			for _, p := range []int{2, 4, 8} {
+				par, err := New(sc.Bind(), WithPartitions(p)).Run(context.Background(), sc.Graph)
 				if err != nil {
 					t.Fatalf("cat %v seed %d P=%d: %v", cat, seed, p, err)
 				}
@@ -76,7 +76,7 @@ func TestParallelMatchesMaterialized(t *testing.T) {
 // node and the partition index.
 func TestParallelCancelNamesPartition(t *testing.T) {
 	sc := templates.Fig1Scenario(40, 120)
-	e := New(sc.Bind(), WithMode(Parallel), WithPartitions(4))
+	e := New(sc.Bind(), WithPartitions(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var id workflow.NodeID
@@ -92,7 +92,7 @@ func TestParallelCancelNamesPartition(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"parallel run cancelled", "partition 0", "after 17 rows", n.Label()} {
+	for _, want := range []string{"run cancelled at node", "partition 0", "after 17 rows", n.Label()} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}
@@ -140,14 +140,14 @@ func TestParallelSharedLookupCache(t *testing.T) {
 	if len(scans) == 0 {
 		t.Fatal("scenario has no lookups to count")
 	}
-	e := New(bindings, WithMode(Parallel), WithPartitions(8))
+	e := New(bindings, WithPartitions(8))
 	if _, err := e.Run(context.Background(), sc.Graph); err != nil {
 		t.Fatal(err)
 	}
 	before := make(map[string]int)
 	for name, n := range scans {
 		if *n > 1 {
-			t.Errorf("lookup %s scanned %d times in one parallel run, want at most 1", name, *n)
+			t.Errorf("lookup %s scanned %d times in one partitioned run, want at most 1", name, *n)
 		}
 		before[name] = *n
 	}
@@ -164,13 +164,13 @@ func TestParallelSharedLookupCache(t *testing.T) {
 
 // TestPartitionCount covers the default and the option.
 func TestPartitionCount(t *testing.T) {
-	if got := New(nil).partitionCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default partitionCount = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := New(nil).partitions; got != 1 {
+		t.Errorf("default partition count = %d, want 1", got)
 	}
-	if got := New(nil, WithPartitions(5)).partitionCount(); got != 5 {
-		t.Errorf("partitionCount = %d, want 5", got)
+	if got := New(nil, WithPartitions(5)).partitions; got != 5 {
+		t.Errorf("partition count = %d, want 5", got)
 	}
-	if got := New(nil, WithPartitions(0)).partitionCount(); got != runtime.GOMAXPROCS(0) {
+	if got := New(nil, WithPartitions(0)).partitions; got != 1 {
 		t.Errorf("WithPartitions(0) should keep the default, got %d", got)
 	}
 }

@@ -183,11 +183,11 @@ func setDiff(a, b map[string]bool) string {
 // non-nil error means an execution failed, while ok=false with a diff
 // means both ran and disagreed.
 //
-// The second workflow is additionally executed in partition-parallel mode
-// (P=4) and held to the engine's stronger contract: bit-identical target
-// rows — same order, same values — against its own materialized run. This
-// folds the parallel engine into every empirical equivalence check the
-// test suite performs.
+// The second workflow is additionally executed at four partitions and
+// held to the engine's stronger contract: bit-identical target rows —
+// same order, same values — against its own P=1 run. This folds the
+// partitioned operators into every empirical equivalence check the test
+// suite performs.
 func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset) (bool, string, error) {
 	e := engine.New(bindings)
 	r1, err := e.Run(context.Background(), g1)
@@ -213,14 +213,14 @@ func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset)
 				name, len(rows1), len(rows2), strings.Join(diffs, "; ")), nil
 		}
 	}
-	ep := engine.New(bindings, engine.WithMode(engine.Parallel), engine.WithPartitions(4))
+	ep := engine.New(bindings, engine.WithPartitions(4))
 	rp, err := ep.Run(context.Background(), g2)
 	if err != nil {
-		return false, "", fmt.Errorf("equiv: running second workflow in parallel mode: %w", err)
+		return false, "", fmt.Errorf("equiv: running second workflow at P=4: %w", err)
 	}
 	for _, name := range sortedKeys(r2.Targets) {
 		if diff := identicalDiff(r2.Targets[name], rp.Targets[name]); diff != "" {
-			return false, fmt.Sprintf("target %s: parallel run not bit-identical to materialized: %s",
+			return false, fmt.Sprintf("target %s: P=4 run not bit-identical to P=1: %s",
 				name, diff), nil
 		}
 	}

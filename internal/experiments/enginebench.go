@@ -13,10 +13,11 @@ import (
 	"etlopt/internal/generator"
 )
 
-// EngineRun records one suite scenario's engine-mode wall clocks: the
-// materialized baseline and the partition-parallel engine at each
-// configured partition count, with every parallel run checked
-// bit-identical to the materialized one before its timing is recorded.
+// EngineRun records one suite scenario's engine wall clocks: the
+// materialized baseline (the default P=1 run, every kernel on whole
+// inputs) and the engine at each configured partition count, with every
+// partitioned run checked bit-identical to the baseline before its timing
+// is recorded.
 type EngineRun struct {
 	Category   string `json:"category"`
 	Index      int    `json:"index"`
@@ -130,7 +131,7 @@ func EngineBench(ctx context.Context, cfg SuiteConfig) (*EngineReport, error) {
 			}
 			for pi, p := range partitions {
 				eopts := []engine.Option{
-					engine.WithMode(engine.Parallel), engine.WithPartitions(p),
+					engine.WithPartitions(p),
 					engine.WithMetrics(cfg.Metrics),
 				}
 				if cfg.FaultSpec != "" {

@@ -210,7 +210,7 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 		res.ParExec = make(map[int]float64, len(cfg.Partitions))
 		for _, p := range cfg.Partitions {
 			parRes, err := engine.New(sc.Bind(),
-				engine.WithMode(engine.Parallel), engine.WithPartitions(p),
+				engine.WithPartitions(p),
 				engine.WithMetrics(cfg.Metrics), engine.WithJournal(cfg.Journal)).Run(ctx, g)
 			if err != nil {
 				return res, fmt.Errorf("executing initial workflow at P=%d: %w", p, err)

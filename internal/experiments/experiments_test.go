@@ -136,7 +136,7 @@ func TestSuiteMetrics(t *testing.T) {
 	if v, ok := snap.CounterValue("search_states_visited_total"); !ok || v == 0 {
 		t.Errorf("search_states_visited_total = %d, %v; want > 0", v, ok)
 	}
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="materialized"}`); !ok || v != 1 {
-		t.Errorf(`engine_runs_total{mode="materialized"} = %d, %v; want 1`, v, ok)
+	if v, ok := snap.CounterValue("engine_runs_total"); !ok || v != 1 {
+		t.Errorf("engine_runs_total = %d, %v; want 1", v, ok)
 	}
 }

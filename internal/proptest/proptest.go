@@ -241,10 +241,10 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 	return nil
 }
 
-// CheckPartitionInvariance executes the scenario's workflow once in
-// materialized mode and once in partition-parallel mode at each of the
-// given partition counts, asserting the parallel engine's metamorphic
-// contract: for every target, the output multiset agrees AND the rows are
+// CheckPartitionInvariance executes the scenario's workflow once at P=1,
+// where every kernel runs on whole materialized inputs, and once at each
+// of the given partition counts, asserting the partitioned engine's
+// metamorphic contract: for every target, the output multiset agrees AND the rows are
 // byte-identical in order (strictly stronger than multiset equality — the
 // deterministic order-stable merge is part of the contract), and the
 // per-node row counts agree. The partition count must be observationally
@@ -256,7 +256,7 @@ func CheckPartitionInvariance(sc *templates.Scenario, partitions []int) error {
 	}
 	for _, p := range partitions {
 		par, err := engine.New(sc.Bind(),
-			engine.WithMode(engine.Parallel), engine.WithPartitions(p)).Run(context.Background(), sc.Graph)
+			engine.WithPartitions(p)).Run(context.Background(), sc.Graph)
 		if err != nil {
 			return fmt.Errorf("parallel run P=%d: %w", p, err)
 		}
@@ -322,8 +322,8 @@ func sameRowOrder(want, got data.Rows) error {
 // (and pprof labels) must be observationally invisible. The scenario's
 // HS search is run plain and journaled at each worker count — best cost,
 // best signature and visited/generated counts must be bit-identical —
-// and its workflow is executed in partition-parallel mode plain and
-// journaled at each partition count — target rows must be byte-identical
+// and its workflow is executed plain and journaled at each partition
+// count — target rows must be byte-identical
 // in order and per-node row counts equal. Every recorded journal must
 // also parse back with paired run boundaries and a summary trailer.
 func CheckJournalInvariance(sc *templates.Scenario, workers, partitions []int) error {
@@ -361,7 +361,7 @@ func CheckJournalInvariance(sc *templates.Scenario, workers, partitions []int) e
 		}
 	}
 	for _, p := range partitions {
-		eopts := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(p)}
+		eopts := []engine.Option{engine.WithPartitions(p)}
 		plain, err := engine.New(sc.Bind(), eopts...).Run(ctx, sc.Graph)
 		if err != nil {
 			return fmt.Errorf("P=%d: plain run: %w", p, err)
@@ -441,17 +441,17 @@ func journalWellFormed(raw []byte) error {
 // clean run in row order, per-node row counts, and the journal's own
 // per-node row counters. Three probes per scenario:
 //
-//	(a) a seeded transient plan with a retry budget, in parallel mode at
-//	    each partition count: the run must converge and match the clean
-//	    materialized reference exactly, and its journal must record the
-//	    faults and the retries that recovered them;
+//	(a) a seeded transient plan with a retry budget, at each partition
+//	    count: the run must converge and match the clean P=1 reference
+//	    exactly, and its journal must record the faults and the retries
+//	    that recovered them;
 //	(b) a rate-1 permanent plan: the run must fail with a typed
 //	    *fault.Injected naming node, partition, and injection site, no
 //	    matter the retry budget;
-//	(c) crash-restart resume: a checkpointed run killed mid-workflow by a
-//	    permanent fault, re-run fault-free over the same staging dir,
-//	    must resume from the staged frontier and reproduce the clean
-//	    result exactly.
+//	(c) crash-restart resume at each partition count: a checkpointed run
+//	    killed mid-workflow by a permanent fault, re-run fault-free over
+//	    the same staging dir, must resume from the staged frontier and
+//	    reproduce the clean result exactly.
 func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partitions []int) error {
 	ctx := context.Background()
 	clean, err := engine.New(sc.Bind()).Run(ctx, sc.Graph)
@@ -467,7 +467,7 @@ func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partition
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
 		rec, err := engine.New(sc.Bind(),
-			engine.WithMode(engine.Parallel), engine.WithPartitions(p),
+			engine.WithPartitions(p),
 			engine.WithJournal(j),
 			engine.WithFaultPlan(plan),
 			engine.WithRetry(fault.Policy{MaxAttempts: 8, Seed: seed}),
@@ -489,7 +489,7 @@ func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partition
 		// regardless of the retry budget.
 		pplan := fault.NewPlan(seed+1, 1, fault.WithKind(fault.Permanent))
 		_, err = engine.New(sc.Bind(),
-			engine.WithMode(engine.Parallel), engine.WithPartitions(p),
+			engine.WithPartitions(p),
 			engine.WithFaultPlan(pplan),
 			engine.WithRetry(fault.Policy{MaxAttempts: 8, Seed: seed}),
 		).Run(ctx, sc.Graph)
@@ -513,10 +513,23 @@ func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partition
 		return fmt.Errorf("staging dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	stage := filepath.Join(dir, "stage")
+	for _, p := range partitions {
+		if err := checkCheckpointResume(ctx, sc, seed, p, filepath.Join(dir, fmt.Sprintf("stage-%d", p)), clean); err != nil {
+			return fmt.Errorf("P=%d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// checkCheckpointResume crashes a checkpointed run of the scenario at
+// partition count p with a permanent plan, resumes it fault-free over the
+// same staging dir and requires the clean result. When the crash left
+// staged outputs, the resumed run must journal resume events, and batch
+// events for all p partitions.
+func checkCheckpointResume(ctx context.Context, sc *templates.Scenario, seed int64, p int, stage string, clean *engine.RunResult) error {
 	crashPlan := fault.NewPlan(seed+2, 0.5, fault.WithKind(fault.Permanent),
 		fault.WithSites(fault.SiteStage, fault.SiteNodeStart))
-	cr, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), engine.WithFaultPlan(crashPlan)), stage)
+	cr, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), engine.WithPartitions(p), engine.WithFaultPlan(crashPlan)), stage)
 	if err != nil {
 		return err
 	}
@@ -524,7 +537,7 @@ func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partition
 	staged, _ := cr.Staged()
 	var rbuf bytes.Buffer
 	rj := obs.NewJournal(&rbuf, nil)
-	cr2, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), engine.WithJournal(rj)), stage)
+	cr2, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), engine.WithPartitions(p), engine.WithJournal(rj)), stage)
 	if err != nil {
 		return err
 	}
@@ -538,20 +551,28 @@ func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partition
 	if err := sameRunResult(clean, res); err != nil {
 		return fmt.Errorf("resumed run diverges from clean run: %w", err)
 	}
-	if crashErr != nil && len(staged) > 0 {
-		evs, err := obs.ReadJournal(bytes.NewReader(rbuf.Bytes()))
-		if err != nil {
-			return fmt.Errorf("resume journal unreadable: %w", err)
+	if crashErr == nil || len(staged) == 0 {
+		return nil
+	}
+	evs, err := obs.ReadJournal(bytes.NewReader(rbuf.Bytes()))
+	if err != nil {
+		return fmt.Errorf("resume journal unreadable: %w", err)
+	}
+	resumes := 0
+	parts := make(map[int]bool)
+	for _, e := range evs {
+		switch e.T {
+		case obs.EventResume:
+			resumes++
+		case obs.EventBatch:
+			parts[e.Part] = true
 		}
-		resumes := 0
-		for _, e := range evs {
-			if e.T == obs.EventResume {
-				resumes++
-			}
-		}
-		if resumes == 0 {
-			return fmt.Errorf("crash left %d staged outputs but the resumed run journaled no resume events", len(staged))
-		}
+	}
+	if resumes == 0 {
+		return fmt.Errorf("crash left %d staged outputs but the resumed run journaled no resume events", len(staged))
+	}
+	if len(parts) > 0 && len(parts) != p {
+		return fmt.Errorf("resumed run journaled batches for %d partitions, want %d", len(parts), p)
 	}
 	return nil
 }

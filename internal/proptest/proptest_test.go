@@ -63,9 +63,9 @@ func TestMetamorphicExpansion(t *testing.T) {
 	t.Logf("checked %d generated workflows", total)
 }
 
-// TestPartitionInvariance is the metamorphic guard for the
-// partition-parallel engine: ~200 seeded random workflows, each executed
-// in materialized mode and in parallel mode at P ∈ {1, 2, 8}, asserting
+// TestPartitionInvariance is the metamorphic guard for the partitioned
+// engine: ~200 seeded random workflows, each executed at P=1 as the
+// reference and again at P ∈ {1, 2, 8}, asserting
 // that every target's multiset agrees and the rows are byte-identical in
 // order — the partition count must be observationally invisible. Run
 // under -race this also exercises the exchange and gather machinery for
@@ -140,11 +140,11 @@ func TestJournalInvariance(t *testing.T) {
 // subsystem: ~200 seeded random workflows, each run clean and then under
 // a seeded transient fault plan with retries at P ∈ {1, 8}, under a
 // rate-1 permanent plan (must fail with a typed, attributed error), and
-// through a crash-restart resume of the checkpoint runner. Any faulty
-// run that ultimately succeeds must be bit-identical to the clean run —
-// row order, per-node row counts, and the journal's row counters. Under
-// -race this also exercises the injection points' concurrent occurrence
-// accounting inside the partition workers.
+// through a crash-restart resume of the checkpoint runner at P ∈ {1, 8}.
+// Any faulty run that ultimately succeeds must be bit-identical to the
+// clean run — row order, per-node row counts, and the journal's row
+// counters. Under -race this also exercises the injection points'
+// concurrent occurrence accounting inside the partition workers.
 func TestFaultRecoveryEquivalence(t *testing.T) {
 	counts := []struct {
 		cat generator.Category

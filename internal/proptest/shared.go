@@ -21,10 +21,7 @@ import (
 // admission recorded).
 func CheckSharedRunEquivalence(scs []*templates.Scenario, workers, partitions int, cacheBytes int64, spillDir string) error {
 	ctx := context.Background()
-	var eopts []engine.Option
-	if partitions > 1 {
-		eopts = append(eopts, engine.WithMode(engine.Parallel), engine.WithPartitions(partitions))
-	}
+	eopts := []engine.Option{engine.WithPartitions(partitions)}
 	solos := make([]*engine.RunResult, len(scs))
 	wfs := make([]share.Workflow, len(scs))
 	for i, sc := range scs {

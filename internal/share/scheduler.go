@@ -25,7 +25,7 @@ type Options struct {
 	// in the checkpoint staging format instead of dropping them.
 	SpillDir string
 	// Engine options are threaded unchanged into every stage and residual
-	// engine (mode, partitions, batch, metrics, journal, faults, retry).
+	// engine (partitions, metrics, journal, faults, retry).
 	Engine []engine.Option
 	// Journal receives shared-cache activity events (lookup/hit/miss/
 	// admit/evict/spill); nil disables them. Results are identical with

@@ -20,15 +20,14 @@
 //	suite, err := etl.RunSuite(ctx, workflows, etl.WithSharedCache(64<<20))
 //
 // Search options (WithAlgorithm, WithWorkers, …) configure Optimize;
-// engine options (WithMode, WithPartitions, WithBatchSize, WithFaultPlan,
-// WithRetry) configure Run and RunSuite; suite options (WithSuiteWorkers,
-// WithSharedCache, WithSharedSpill) configure RunSuite; WithMetrics and
-// WithJournal configure all three. Passing an option to the entry point it
-// does not affect is harmless, so one option slice can serve a whole
-// pipeline. The legacy Options struct still works as an Option value.
+// engine options (WithPartitions, WithFaultPlan, WithRetry) configure Run
+// and RunSuite; suite options (WithSuiteWorkers, WithSharedCache,
+// WithSharedSpill) configure RunSuite; WithMetrics and WithJournal
+// configure all three. Passing an option to the entry point it does not
+// affect is harmless, so one option slice can serve a whole pipeline.
 //
 // Cancelling the context aborts the optimizer at the next state-expansion
-// boundary and the engine at the next node, partition or batch boundary,
+// boundary and the engine at the next node or partition boundary,
 // returning an error wrapping ctx.Err().
 package etl
 
@@ -80,15 +79,6 @@ type (
 	// CostModel prices workflow states; the default is the paper's
 	// row-count model.
 	CostModel = cost.Model
-	// Mode selects the engine's execution strategy.
-	Mode = engine.Mode
-	// EngineOption configures an engine directly.
-	//
-	// Deprecated: Run now takes the package's unified Option values
-	// (WithMode, WithPartitions, WithBatchSize, WithMetrics); use those.
-	// EngineOption remains for callers constructing engines via the
-	// internal engine package's vocabulary.
-	EngineOption = engine.Option
 	// MetricsRegistry collects observability series (counters, gauges,
 	// histograms, spans) from the optimizer and the engine. Collection is
 	// write-only: results are bit-identical with metrics on or off.
@@ -161,18 +151,6 @@ var (
 	WithFaultMaxPerKey = fault.WithMaxPerKey
 )
 
-// Execution modes for WithMode.
-const (
-	// Materialized evaluates nodes one at a time in topological order.
-	Materialized = engine.Materialized
-	// Pipelined streams records between concurrent node goroutines.
-	Pipelined = engine.Pipelined
-	// Parallel partitions every recordset across P workers (see
-	// WithPartitions) and merges deterministically: target rows are
-	// bit-identical to Materialized at any partition count.
-	Parallel = engine.Parallel
-)
-
 // Null is the SQL-style null Value.
 var Null = data.Null
 
@@ -189,11 +167,7 @@ var (
 )
 
 // Option configures Optimize and/or Run. Options are built with the
-// package's With… constructors; the legacy Options struct is itself an
-// Option, so pre-existing call sites keep working:
-//
-//	etl.Optimize(ctx, g, etl.Options{Algorithm: etl.ES}) // still valid
-//	etl.Optimize(ctx, g, etl.WithAlgorithm(etl.ES))      // preferred
+// package's With… constructors.
 type Option interface{ apply(*settings) }
 
 // optionFunc adapts a plain function to the Option interface.
@@ -206,10 +180,7 @@ type settings struct {
 	search core.Options
 	algo   Algorithm
 
-	mode       Mode
-	modeSet    bool
 	partitions int
-	batch      int
 	metrics    *MetricsRegistry
 	journal    *Journal
 	profile    bool
@@ -291,25 +262,13 @@ func WithProfileLabels() Option {
 	return optionFunc(func(s *settings) { s.profile = true })
 }
 
-// WithMode selects the execution mode (default Materialized). Run only.
-func WithMode(m Mode) Option {
-	return optionFunc(func(s *settings) { s.mode = m; s.modeSet = true })
-}
-
-// WithPartitions sets the partition count for partition-parallel
-// execution (default: the number of CPUs) and, unless WithMode is given
-// explicitly, selects Parallel mode — etl.Run(ctx, g, bindings,
-// etl.WithPartitions(8)) is a complete parallel run. Output is
-// bit-identical at any count. Run only — the search's parallelism is
-// WithWorkers.
+// WithPartitions sets the engine's partition count P (default 1; counts
+// below 1 keep the default). At P=1 every activity runs on whole inputs;
+// above, every recordset is split across P partition workers and merged
+// deterministically, so output is bit-identical at any count. Run only —
+// the search's parallelism is WithWorkers.
 func WithPartitions(n int) Option {
 	return optionFunc(func(s *settings) { s.partitions = n })
-}
-
-// WithBatchSize sets the pipelined mode's channel batch size (default
-// 64). Run only.
-func WithBatchSize(n int) Option {
-	return optionFunc(func(s *settings) { s.batch = n })
 }
 
 // WithFaultPlan arms deterministic fault injection on the run: the plan
@@ -361,8 +320,8 @@ func WithSharedSpill(dir string) Option {
 var defaultMetrics = obs.NewRegistry()
 
 // Metrics returns the package's default metrics registry. Pass it to
-// Optimize via Options.Metrics and to Run via WithMetrics(etl.Metrics()),
-// then export it with Snapshot():
+// Optimize and Run via WithMetrics(etl.Metrics()), then export it with
+// Snapshot():
 //
 //	snap := etl.Metrics().Snapshot()
 //	snap.WriteJSON(os.Stdout)       // or snap.WritePrometheus(w)
@@ -421,7 +380,7 @@ type Algorithm string
 // The three search algorithms of the paper (§4.2).
 const (
 	// ES is exhaustive search: the global optimum, exponential state
-	// space — bound it with Options.MaxStates.
+	// space — bound it with WithMaxStates.
 	ES Algorithm = "es"
 	// HS is the heuristic search of Fig. 7 — near-optimal at a fraction
 	// of ES's cost; the default.
@@ -431,63 +390,11 @@ const (
 	HSGreedy Algorithm = "hs-greedy"
 )
 
-// Options configures Optimize as one struct. The zero value asks for the
-// heuristic search with semi-incremental costing and the package defaults
-// — the configuration the paper's experiments recommend.
-//
-// Deprecated: Options is the facade's original configuration surface,
-// kept as a thin shim — it implements Option, so existing
-// Optimize(ctx, g, etl.Options{…}) call sites compile and behave
-// unchanged. New code should pass the equivalent With… options
-// (WithAlgorithm, WithModel, WithMaxStates, WithGroupCap, WithWorkers,
-// WithMergeConstraints, WithFullCostEval, WithMetrics) directly.
-type Options struct {
-	// Algorithm selects the search; empty means HS.
-	Algorithm Algorithm
-	// Model prices states; nil means the paper's row-count model.
-	Model CostModel
-	// MaxStates bounds generated states (0 = package default).
-	MaxStates int
-	// GroupCap bounds HS's per-local-group exploration (0 = default).
-	GroupCap int
-	// Workers sets the search's parallelism; 0 means GOMAXPROCS, 1 is
-	// fully sequential. Results are identical for every value.
-	Workers int
-	// MergeConstraints lists activity pairs that must move as one unit
-	// (HS pre-processing; split again afterwards).
-	MergeConstraints [][2]NodeID
-	// FullCostEval disables the semi-incremental cost evaluation and
-	// recomputes every state's cost from scratch. Results are identical;
-	// incremental is faster.
-	FullCostEval bool
-	// Metrics, when non-nil, collects the search's observability series
-	// (states generated/visited/deduped, per-transition-kind counts, best
-	// cost, worker utilization). etl.Metrics() supplies the package-wide
-	// default registry. Collection never affects results.
-	Metrics *MetricsRegistry
-}
-
-// apply folds the legacy struct into the unified settings, making an
-// Options value usable anywhere an Option is expected.
-func (o Options) apply(s *settings) {
-	s.algo = o.Algorithm
-	s.search.Model = o.Model
-	s.search.MaxStates = o.MaxStates
-	s.search.GroupCap = o.GroupCap
-	s.search.Workers = o.Workers
-	s.search.MergeConstraints = o.MergeConstraints
-	s.search.IncrementalCost = !o.FullCostEval
-	if o.Metrics != nil {
-		s.metrics = o.Metrics
-	}
-}
-
 // newSettings resolves the option list over the package defaults.
 func newSettings(opts []Option) settings {
 	s := settings{
 		search: core.Options{IncrementalCost: true},
 		algo:   HS,
-		mode:   Materialized,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -530,16 +437,7 @@ func Run(ctx context.Context, g *Graph, bindings map[string]Recordset, opts ...O
 // engineOptions lowers the merged settings to the internal engine's option
 // vocabulary — the single translation Run and RunSuite share.
 func (s *settings) engineOptions() []engine.Option {
-	if s.partitions > 0 && !s.modeSet {
-		s.mode = Parallel
-	}
-	eopts := []engine.Option{engine.WithMode(s.mode)}
-	if s.partitions > 0 {
-		eopts = append(eopts, engine.WithPartitions(s.partitions))
-	}
-	if s.batch > 0 {
-		eopts = append(eopts, engine.WithBatchSize(s.batch))
-	}
+	eopts := []engine.Option{engine.WithPartitions(s.partitions)}
 	if s.metrics != nil {
 		eopts = append(eopts, engine.WithMetrics(s.metrics))
 	}
@@ -573,7 +471,7 @@ func (s *settings) engineOptions() []engine.Option {
 // with the same error — and no others.
 //
 // WithSuiteWorkers, WithSharedCache and WithSharedSpill configure the
-// suite; engine options (WithMode, WithPartitions, WithFaultPlan, …) apply
+// suite; engine options (WithPartitions, WithFaultPlan, …) apply
 // to every stage and residual run; WithMetrics and WithJournal also
 // receive the shared cache's activity.
 func RunSuite(ctx context.Context, workflows []SuiteWorkflow, opts ...Option) (*SuiteResult, error) {
