@@ -1,6 +1,10 @@
 package data
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // FNV-1a parameters. The digest below is the package's one canonical row
 // hash: the shared-work cache key, the empirical equivalence oracle and the
@@ -84,4 +88,33 @@ func RecordsetDigest(rs Recordset) (uint64, error) {
 	}
 	d.uint64(rows.Digest())
 	return uint64(d), nil
+}
+
+// IdenticalDiff describes the first divergence between two row slices
+// under bit-identity — the same typed values in the same positions and
+// order — or returns "" when they are identical. Digest equality decides;
+// a per-row digest scan only runs to locate the first divergent row.
+func IdenticalDiff(want, got Rows) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+	}
+	if want.Digest() == got.Digest() {
+		return ""
+	}
+	for i := range want {
+		if want[i:i+1].Digest() != got[i:i+1].Digest() {
+			return fmt.Sprintf("row %d: %s, want %s", i, typedString(got[i]), typedString(want[i]))
+		}
+	}
+	return "rows digest differently"
+}
+
+// typedString renders a record with each value's kind, so diagnostics
+// tell int 3 from float 3 and the string "NULL" from NULL.
+func typedString(r Record) string {
+	parts := make([]string, len(r))
+	for i, v := range r {
+		parts[i] = fmt.Sprintf("%s %q", v.kind, v.String())
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }

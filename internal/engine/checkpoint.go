@@ -2,9 +2,9 @@ package engine
 
 import (
 	"context"
-	"encoding/csv"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,10 +24,11 @@ import (
 // completed node's output is persisted, so a re-run after a crash resumes
 // from the frontier of completed nodes instead of from the sources.
 //
-// The staging area is a directory of CSV files keyed by node ID plus a
-// manifest recording the workflow signature; resuming with a *different*
-// workflow (signature mismatch) discards the staging area, since the
-// intermediate results of one state are not valid for another.
+// The staging area is a directory of stage files (data.WriteStage), one
+// per node, plus a manifest recording the stage format version and the
+// workflow signature; resuming with a *different* workflow, or over a
+// staging area written in another format, discards the staging area, since
+// the intermediate results of one state are not valid for another.
 type CheckpointRunner struct {
 	engine *Engine
 	dir    string
@@ -42,14 +43,10 @@ func NewCheckpointRunner(e *Engine, dir string) (*CheckpointRunner, error) {
 	return &CheckpointRunner{engine: e, dir: dir}, nil
 }
 
-// manifestPath returns the path of the staging manifest.
-func (c *CheckpointRunner) manifestPath() string {
-	return filepath.Join(c.dir, "MANIFEST")
-}
-
-func (c *CheckpointRunner) nodePath(id workflow.NodeID) string {
-	return filepath.Join(c.dir, fmt.Sprintf("node-%d.csv", id))
-}
+// nodeFile names a node's stage file. The stage format is binary; the
+// ".csv" extension stays because tools that size a staging area (perfbench
+// among them) count staged outputs by it.
+func nodeFile(id workflow.NodeID) string { return fmt.Sprintf("node-%d.csv", id) }
 
 // Run executes the workflow through the engine's node loop, staging each
 // completed source and activity output. If the staging area already holds
@@ -88,9 +85,12 @@ func (c *CheckpointRunner) restore(ctx context.Context, id workflow.NodeID, n *w
 	if err := c.engine.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
 		return nil, false, err
 	}
-	rows, ok, err := c.loadStage(id)
-	if err != nil || !ok {
-		return nil, false, err
+	rows, err := data.ReadStage(filepath.Join(c.dir, nodeFile(id)), n.Out)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("engine: restoring node %s: %w", nodeKey(id, n), err)
 	}
 	return partitioned(rows, p), true, nil
 }
@@ -101,7 +101,10 @@ func (c *CheckpointRunner) stage(ctx context.Context, id workflow.NodeID, n *wor
 	if err := c.engine.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
 		return err
 	}
-	return c.saveStage(id, n.Out, gather(pd))
+	if err := data.WriteStage(filepath.Join(c.dir, nodeFile(id)), n.Out, gather(pd)); err != nil {
+		return fmt.Errorf("engine: staging node %s: %w", nodeKey(id, n), err)
+	}
+	return nil
 }
 
 // checkpointEvent journals one staging step ("staged" when a node's
@@ -123,14 +126,16 @@ func (c *CheckpointRunner) checkpointEvent(id workflow.NodeID, n *workflow.Node,
 	}
 }
 
-// prepareStaging validates or initializes the manifest. A signature
-// mismatch (the workflow changed since the interrupted run) clears the
-// staging area — stale intermediates are unusable.
+// prepareStaging validates or initializes the manifest. A mismatch (the
+// workflow changed since the interrupted run, or the staging area was
+// written in another stage format) clears the staging area — stale
+// intermediates are unusable.
 func (c *CheckpointRunner) prepareStaging(sig string) error {
-	b, err := os.ReadFile(c.manifestPath())
+	path, manifest := filepath.Join(c.dir, "MANIFEST"), fmt.Sprintf("stage-v%d %s", data.StageVersion, sig)
+	b, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		if strings.TrimSpace(string(b)) == sig {
+		if strings.TrimSpace(string(b)) == manifest {
 			return nil // resumable
 		}
 		if err := c.Clear(); err != nil {
@@ -142,7 +147,7 @@ func (c *CheckpointRunner) prepareStaging(sig string) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(c.manifestPath(), []byte(sig+"\n"), 0o644)
+	return os.WriteFile(path, []byte(manifest+"\n"), 0o644)
 }
 
 // Staged reports which node IDs currently have staged outputs.
@@ -156,9 +161,11 @@ func (c *CheckpointRunner) Staged() ([]workflow.NodeID, error) {
 	}
 	var ids []workflow.NodeID
 	for _, e := range entries {
-		var id int
-		if _, err := fmt.Sscanf(e.Name(), "node-%d.csv", &id); err == nil {
-			ids = append(ids, workflow.NodeID(id))
+		// Sscanf matches a prefix, so the name must also be exactly the
+		// node's file name: a torn write's temp file is not a stage.
+		var id workflow.NodeID
+		if _, err := fmt.Sscanf(e.Name(), "node-%d.csv", &id); err == nil && e.Name() == nodeFile(id) {
+			ids = append(ids, id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -171,76 +178,4 @@ func (c *CheckpointRunner) Clear() error {
 		return fmt.Errorf("engine: clearing checkpoint dir: %w", err)
 	}
 	return nil
-}
-
-// saveStage atomically persists one node's output.
-func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, rows data.Rows) error {
-	tmp := c.nodePath(id) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write(schema); err != nil {
-		f.Close()
-		return err
-	}
-	for _, rec := range rows {
-		fields := make([]string, len(rec))
-		for i, v := range rec {
-			if v.IsNull() {
-				fields[i] = "NULL"
-			} else {
-				fields[i] = v.String()
-			}
-		}
-		if err := w.Write(fields); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.nodePath(id))
-}
-
-// loadStage reads one node's staged output if present.
-func (c *CheckpointRunner) loadStage(id workflow.NodeID) (data.Rows, bool, error) {
-	f, err := os.Open(c.nodePath(id))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	if _, err := r.Read(); err != nil { // header
-		if err == io.EOF {
-			return nil, true, nil
-		}
-		return nil, false, fmt.Errorf("engine: reading stage %d: %w", id, err)
-	}
-	var rows data.Rows
-	for {
-		fields, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, false, fmt.Errorf("engine: reading stage %d: %w", id, err)
-		}
-		rec := make(data.Record, len(fields))
-		for i, s := range fields {
-			rec[i] = data.ParseValue(s)
-		}
-		rows = append(rows, rec)
-	}
-	return rows, true, nil
 }

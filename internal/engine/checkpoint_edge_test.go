@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"etlopt/internal/data"
 	"etlopt/internal/templates"
+	"etlopt/internal/workflow"
 )
 
 // crashStaging runs the scenario with a once-failing PARTS2 so the run
@@ -37,13 +40,44 @@ func crashStaging(t *testing.T, sc *templates.Scenario) string {
 	return dir
 }
 
+// firstStage returns the path and node ID of the lowest-numbered staged
+// output in dir.
+func firstStage(t *testing.T, dir string) (string, workflow.NodeID) {
+	t.Helper()
+	cr, err := NewCheckpointRunner(New(nil), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := cr.Staged()
+	if err != nil || len(staged) == 0 {
+		t.Fatalf("no staged files to damage: %v", err)
+	}
+	return filepath.Join(dir, nodeFile(staged[0])), staged[0]
+}
+
+// rewriteFirstStage replaces the first staged output's bytes with
+// edit(bytes).
+func rewriteFirstStage(t *testing.T, dir string, edit func([]byte) []byte) {
+	t.Helper()
+	path, _ := firstStage(t, dir)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointStagingDamage drives the resume path through every way a
 // staging area can be wrong on disk. A manifest that is corrupt,
-// truncated, or empty reads as a signature mismatch: the stale stages
-// are discarded and the run recomputes everything — correctly. Orphan
-// node files for IDs the workflow doesn't have are ignored. A staged CSV
-// damaged after the manifest was accepted is the one unrecoverable case:
-// the resume surfaces a read error rather than loading garbage.
+// truncated, empty, or written by a build with another stage format
+// reads as a mismatch: the stale stages are discarded and the run
+// recomputes everything, bit-identical to a clean run. Orphan node files
+// for IDs the workflow doesn't have, and temp files a torn write left
+// behind, are ignored. A staged output damaged after the manifest was
+// accepted is the one unrecoverable case: the resume surfaces an error
+// naming the node rather than loading garbage.
 func TestCheckpointStagingDamage(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -90,14 +124,81 @@ func TestCheckpointStagingDamage(t *testing.T) {
 			},
 		},
 		{
+			name: "leftover temp files",
+			damage: func(t *testing.T, dir string) {
+				_, id := firstStage(t, dir)
+				cr, err := NewCheckpointRunner(New(nil), dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before, err := cr.Staged()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Torn writes of a staged node and of a node never staged.
+				for _, name := range []string{nodeFile(id) + ".tmp", nodeFile(id) + ".tmp-123", "node-998.csv.tmp"} {
+					if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				after, err := cr.Staged()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(after) != fmt.Sprint(before) {
+					t.Fatalf("temp files changed Staged(): %v, want %v", after, before)
+				}
+			},
+		},
+		{
+			name: "old csv staging area",
+			damage: func(t *testing.T, dir string) {
+				// The manifest and stages an older build wrote: the bare
+				// signature, and CSV node files.
+				sig := templates.Fig1Scenario(50, 150).Graph.Signature()
+				if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(sig+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				matches, err := filepath.Glob(filepath.Join(dir, "node-*.csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, path := range matches {
+					if err := os.WriteFile(path, []byte("A,B\n1,2\n"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		},
+		{
 			name: "corrupt staged csv",
 			damage: func(t *testing.T, dir string) {
-				entries, err := filepath.Glob(filepath.Join(dir, "node-*.csv"))
-				if err != nil || len(entries) == 0 {
-					t.Fatalf("no staged files to corrupt: %v", err)
-				}
-				// An unbalanced quote makes the CSV unreadable past the header.
-				if err := os.WriteFile(entries[0], []byte("A,B\n\"unclosed,1\n2,3\n"), 0o644); err != nil {
+				rewriteFirstStage(t, dir, func([]byte) []byte { return []byte("A,B\n\"unclosed,1\n2,3\n") })
+			},
+			wantErr: true,
+		},
+		{
+			name: "truncated stage",
+			damage: func(t *testing.T, dir string) {
+				rewriteFirstStage(t, dir, func(b []byte) []byte { return b[:len(b)/2] })
+			},
+			wantErr: true,
+		},
+		{
+			name: "flipped byte in stage",
+			damage: func(t *testing.T, dir string) {
+				rewriteFirstStage(t, dir, func(b []byte) []byte {
+					b[len(b)/2] ^= 0x10
+					return b
+				})
+			},
+			wantErr: true,
+		},
+		{
+			name: "stage with another schema",
+			damage: func(t *testing.T, dir string) {
+				path, _ := firstStage(t, dir)
+				if err := data.WriteStage(path, data.Schema{"OTHER"}, data.Rows{{data.NewInt(1)}}); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -109,6 +210,7 @@ func TestCheckpointStagingDamage(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			sc := templates.Fig1Scenario(50, 150)
 			dir := crashStaging(t, sc)
+			_, damaged := firstStage(t, dir)
 			c.damage(t, dir)
 			cr, err := NewCheckpointRunner(New(sc.Bind()), dir)
 			if err != nil {
@@ -119,6 +221,9 @@ func TestCheckpointStagingDamage(t *testing.T) {
 				if err == nil {
 					t.Fatal("resume over damaged stage should fail, succeeded instead")
 				}
+				if want := fmt.Sprintf("restoring node %d:", damaged); !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name the damaged node (%q)", err, want)
+				}
 				return
 			}
 			if err != nil {
@@ -128,8 +233,8 @@ func TestCheckpointStagingDamage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Targets["DW.PARTS"].EqualMultiset(plain.Targets["DW.PARTS"]) {
-				t.Error("resumed run differs from a clean run")
+			if diff := data.IdenticalDiff(plain.Targets["DW.PARTS"], res.Targets["DW.PARTS"]); diff != "" {
+				t.Errorf("resumed run differs from a clean run: %s", diff)
 			}
 			staged, err := cr.Staged()
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -180,7 +181,7 @@ func TestCheckpointSignatureMismatchClearsStage(t *testing.T) {
 }
 
 func TestCheckpointNullsSurviveStaging(t *testing.T) {
-	// NULLs and typed values must round-trip through the CSV stage. Use a
+	// NULLs and typed values must round-trip through the stage. Use a
 	// workflow whose intermediate rows carry NULLs (no NN filter).
 	schema := data.Schema{"K", "V"}
 	g := workflow.NewGraph()
@@ -220,6 +221,87 @@ func TestCheckpointNullsSurviveStaging(t *testing.T) {
 	}
 	if !foundNull {
 		t.Error("NULL lost in staging round trip")
+	}
+}
+
+// failingLoad wraps a target recordset whose Load fails a set number of
+// times before succeeding.
+type failingLoad struct {
+	data.Recordset
+	failuresLeft *int
+}
+
+func (f failingLoad) Load(rows data.Rows) error {
+	if *f.failuresLeft > 0 {
+		*f.failuresLeft--
+		return errInjected
+	}
+	return f.Recordset.Load(rows)
+}
+
+// TestCheckpointHostileValuesSurviveResume crashes a load of S → NN → T
+// at the target, after the source and the check are staged, and resumes
+// it: the target must receive exactly the typed values the source held —
+// integral floats stay floats, strings that look like numbers, NULL,
+// bools or dates stay strings, and a one-column row holding "" survives.
+func TestCheckpointHostileValuesSurviveResume(t *testing.T) {
+	cases := []struct {
+		name   string
+		schema data.Schema
+		rows   data.Rows
+	}{
+		{"typed", data.Schema{"K", "V"}, data.Rows{
+			{data.NewString("42"), data.NewFloat(3)},
+			{data.NewString("NULL"), data.NewFloat(math.Copysign(0, -1))},
+			{data.NewString("true"), data.NewString("2021-01-02")},
+			{data.NewString("2021-01-02"), data.NewString("")},
+			{data.NewString(""), data.Null},
+			{data.NewString("1e3"), data.NewString("NULL")},
+			{data.NewString("x"), data.NewInt(3)},
+			{data.NewString("y"), data.NewBool(true)},
+			{data.NewString("z"), data.NewDate(2021, 1, 2)},
+		}},
+		{"one column", data.Schema{"S"}, data.Rows{
+			{data.NewString("")}, {data.NewString("42")}, {data.NewString("")},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := workflow.NewGraph()
+			src := g.AddRecordset(&workflow.RecordsetRef{Name: "S", Schema: c.schema, Rows: float64(len(c.rows)), IsSource: true})
+			nn := g.AddActivity(templates.NotNull(1, c.schema[0]))
+			tgt := g.AddRecordset(&workflow.RecordsetRef{Name: "T", Schema: c.schema, IsTarget: true})
+			g.MustAddEdge(src, nn)
+			g.MustAddEdge(nn, tgt)
+			if err := g.RegenerateSchemata(); err != nil {
+				t.Fatal(err)
+			}
+			scans, failures := 0, 1
+			bindings := map[string]data.Recordset{
+				"S": countingRecordset{Recordset: data.NewMemoryRecordset("S", c.schema).MustLoad(c.rows), scans: &scans},
+				"T": failingLoad{Recordset: data.NewMemoryRecordset("T", c.schema), failuresLeft: &failures},
+			}
+			cr, err := NewCheckpointRunner(New(bindings), filepath.Join(t.TempDir(), "stage"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cr.Run(context.Background(), g); !errors.Is(err, errInjected) {
+				t.Fatalf("crash run: want the injected load failure, got %v", err)
+			}
+			if staged, err := cr.Staged(); err != nil || len(staged) != 2 {
+				t.Fatalf("crash staged %v (err %v), want the source and the check", staged, err)
+			}
+			res, err := cr.Run(context.Background(), g)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if scans != 1 {
+				t.Errorf("source scanned %d times; the resume should restore it", scans)
+			}
+			if diff := data.IdenticalDiff(c.rows, res.Targets["T"]); diff != "" {
+				t.Errorf("resumed target: %s", diff)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"etlopt/internal/data"
 	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
@@ -228,7 +229,6 @@ func TestJournalCheckpointEvents(t *testing.T) {
 		t.Fatalf("cancelled run left no manifest: %v", err)
 	}
 	eng := New(sc.Bind())
-	seeder := CheckpointRunner{engine: eng, dir: dir}
 	seeded := false
 	for _, id := range sc.Graph.Nodes() {
 		n := sc.Graph.Node(id)
@@ -237,7 +237,7 @@ func TestJournalCheckpointEvents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := seeder.saveStage(id, n.Out, rows); err != nil {
+			if err := data.WriteStage(filepath.Join(dir, nodeFile(id)), n.Out, rows); err != nil {
 				t.Fatal(err)
 			}
 			seeded = true

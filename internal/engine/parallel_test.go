@@ -12,25 +12,10 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// rowsIdentical reports bit-identity: same rows, same order, same values.
-// This is deliberately stricter than EqualMultiset — a partitioned run
-// promises the P=1 row order, not just the multiset.
-func rowsIdentical(a, b data.Rows) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j].Key() != b[i][j].Key() {
-				return false
-			}
-		}
-	}
-	return true
-}
+// rowsIdentical reports bit-identity: same typed values in the same rows
+// and order. This is deliberately stricter than EqualMultiset — a
+// partitioned run promises the P=1 row order, not just the multiset.
+func rowsIdentical(a, b data.Rows) bool { return data.IdenticalDiff(a, b) == "" }
 
 // TestParallelMatchesMaterialized is the partitioned operators' core
 // contract: for generated scenarios across all three size categories,

@@ -219,30 +219,10 @@ func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset)
 		return false, "", fmt.Errorf("equiv: running second workflow at P=4: %w", err)
 	}
 	for _, name := range sortedKeys(r2.Targets) {
-		if diff := identicalDiff(r2.Targets[name], rp.Targets[name]); diff != "" {
+		if diff := data.IdenticalDiff(r2.Targets[name], rp.Targets[name]); diff != "" {
 			return false, fmt.Sprintf("target %s: P=4 run not bit-identical to P=1: %s",
 				name, diff), nil
 		}
 	}
 	return true, "", nil
-}
-
-// identicalDiff describes the first divergence between two row slices
-// under bit-identity (order-sensitive), or "" when identical. Both slices
-// come straight from in-process engine runs, so the canonical typed digest
-// is sound here: equal digests prove identity in one pass, and the per-row
-// key scan only runs to describe a divergence.
-func identicalDiff(a, b data.Rows) string {
-	if len(a) != len(b) {
-		return fmt.Sprintf("%d vs %d rows", len(a), len(b))
-	}
-	if a.Digest() == b.Digest() {
-		return ""
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return fmt.Sprintf("row %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	return ""
 }

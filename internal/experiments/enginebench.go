@@ -146,8 +146,7 @@ func EngineBench(ctx context.Context, cfg SuiteConfig) (*EngineReport, error) {
 					return nil, fmt.Errorf("engine bench: %s workflow %d P=%d: %w", cat, i+1, p, err)
 				}
 				for _, name := range sortedTargetNames(mat.Targets) {
-					if diff := rowsDiff(mat.Targets[name], par.Targets[name]); diff != "" {
-						rep.AllIdentical = false
+					if diff := data.IdenticalDiff(mat.Targets[name], par.Targets[name]); diff != "" {
 						return nil, fmt.Errorf(
 							"engine bench: %s workflow %d P=%d: target %s not bit-identical to materialized: %s",
 							cat, i+1, p, name, diff)
@@ -192,20 +191,6 @@ func sortedTargetNames(targets map[string]data.Rows) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// rowsDiff describes the first divergence between two row slices under
-// bit-identity (order-sensitive), or "" when identical.
-func rowsDiff(want, got data.Rows) string {
-	if len(want) != len(got) {
-		return fmt.Sprintf("%d vs %d rows", len(got), len(want))
-	}
-	for i := range want {
-		if want[i].Key() != got[i].Key() {
-			return fmt.Sprintf("row %d: %s vs %s", i, got[i], want[i])
-		}
-	}
-	return ""
 }
 
 func formatSeconds(xs []float64) []string {

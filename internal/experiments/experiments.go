@@ -15,6 +15,7 @@ import (
 
 	"etlopt/internal/core"
 	"etlopt/internal/cost"
+	"etlopt/internal/data"
 	"etlopt/internal/engine"
 	"etlopt/internal/equiv"
 	"etlopt/internal/generator"
@@ -216,7 +217,7 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 				return res, fmt.Errorf("executing initial workflow at P=%d: %w", p, err)
 			}
 			for _, name := range sortedTargetNames(runRes.Targets) {
-				if diff := rowsDiff(runRes.Targets[name], parRes.Targets[name]); diff != "" {
+				if diff := data.IdenticalDiff(runRes.Targets[name], parRes.Targets[name]); diff != "" {
 					return res, fmt.Errorf("P=%d: target %s not bit-identical to materialized: %s",
 						p, name, diff)
 				}

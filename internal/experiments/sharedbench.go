@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"etlopt/internal/data"
 	"etlopt/internal/engine"
 	"etlopt/internal/generator"
 	"etlopt/internal/share"
@@ -156,15 +157,13 @@ func SharedBench(ctx context.Context, cfg SharedConfig) (*SharedReport, error) {
 					return nil, fmt.Errorf("shared bench: %s: %w", wr.Name, wr.Err)
 				}
 				for _, name := range sortedTargetNames(solos[i].Targets) {
-					if diff := rowsDiff(solos[i].Targets[name], wr.Result.Targets[name]); diff != "" {
-						rep.AllIdentical = false
+					if diff := data.IdenticalDiff(solos[i].Targets[name], wr.Result.Targets[name]); diff != "" {
 						return nil, fmt.Errorf(
 							"shared bench: %s: target %s not bit-identical to independent run: %s",
 							wr.Name, name, diff)
 					}
 				}
 				if !reflect.DeepEqual(solos[i].NodeRows, wr.Result.NodeRows) {
-					rep.AllIdentical = false
 					return nil, fmt.Errorf("shared bench: %s: NodeRows differ from independent run", wr.Name)
 				}
 			}

@@ -15,13 +15,14 @@ package proptest
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -58,6 +59,17 @@ func relDiff(a, b float64) float64 {
 	return d / m
 }
 
+// sortedKeys returns m's keys in ascending order, so a failure always
+// reports the same (smallest) offending key.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // compareCostings cross-checks an incrementally derived costing against a
 // from-scratch evaluation of the same graph: identical node sets,
 // per-node cardinalities and costs within costTol, and totals within
@@ -66,14 +78,7 @@ func compareCostings(inc, scratch *cost.Costing) error {
 	if len(inc.Costs) != len(scratch.Costs) {
 		return fmt.Errorf("incremental costing covers %d nodes, scratch %d", len(inc.Costs), len(scratch.Costs))
 	}
-	// Walk node IDs in sorted order so a failure always reports the same
-	// (smallest) offending node.
-	ids := make([]workflow.NodeID, 0, len(scratch.Costs))
-	for id := range scratch.Costs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(scratch.Costs) {
 		want := scratch.Costs[id]
 		got, ok := inc.Costs[id]
 		if !ok {
@@ -83,12 +88,7 @@ func compareCostings(inc, scratch *cost.Costing) error {
 			return fmt.Errorf("node %d cost: incremental %v vs scratch %v", id, got, want)
 		}
 	}
-	ids = ids[:0]
-	for id := range scratch.Cards {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(scratch.Cards) {
 		want := scratch.Cards[id]
 		got, ok := inc.Cards[id]
 		if !ok {
@@ -244,11 +244,10 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 // CheckPartitionInvariance executes the scenario's workflow once at P=1,
 // where every kernel runs on whole materialized inputs, and once at each
 // of the given partition counts, asserting the partitioned engine's
-// metamorphic contract: for every target, the output multiset agrees AND the rows are
-// byte-identical in order (strictly stronger than multiset equality — the
-// deterministic order-stable merge is part of the contract), and the
-// per-node row counts agree. The partition count must be observationally
-// invisible.
+// metamorphic contract: every target's rows are bit-identical in order
+// (strictly stronger than multiset equality — the deterministic
+// order-stable merge is part of the contract), and the per-node row
+// counts agree. The partition count must be observationally invisible.
 func CheckPartitionInvariance(sc *templates.Scenario, partitions []int) error {
 	mat, err := engine.New(sc.Bind()).Run(context.Background(), sc.Graph)
 	if err != nil {
@@ -260,58 +259,8 @@ func CheckPartitionInvariance(sc *templates.Scenario, partitions []int) error {
 		if err != nil {
 			return fmt.Errorf("parallel run P=%d: %w", p, err)
 		}
-		if len(par.Targets) != len(mat.Targets) {
-			return fmt.Errorf("P=%d: %d targets, materialized loaded %d", p, len(par.Targets), len(mat.Targets))
-		}
-		names := make([]string, 0, len(mat.Targets))
-		for name := range mat.Targets {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			want := mat.Targets[name]
-			got, ok := par.Targets[name]
-			if !ok {
-				return fmt.Errorf("P=%d: target %s missing from parallel run", p, name)
-			}
-			if !want.EqualMultiset(got) {
-				diffs := want.DiffMultiset(got, 3)
-				return fmt.Errorf("P=%d: target %s multiset differs: %v", p, name, diffs)
-			}
-			if err := sameRowOrder(want, got); err != nil {
-				return fmt.Errorf("P=%d: target %s not byte-identical to materialized: %w", p, name, err)
-			}
-		}
-		ids := make([]workflow.NodeID, 0, len(mat.NodeRows))
-		for id := range mat.NodeRows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if got, want := par.NodeRows[id], mat.NodeRows[id]; got != want {
-				return fmt.Errorf("P=%d: node %d emitted %d rows, materialized %d", p, id, got, want)
-			}
-		}
-	}
-	return nil
-}
-
-// sameRowOrder requires bit-identity: equal lengths, and equal record
-// keys position by position. Equal canonical digests prove identity in one
-// pass; the key scan only runs to locate a divergence (or to tolerate the
-// one legitimate digest mismatch — checkpoint-resumed rows re-read from
-// staging CSVs collapse integral floats to ints, which the type-insensitive
-// keys deliberately ignore).
-func sameRowOrder(want, got data.Rows) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("%d vs %d rows", len(got), len(want))
-	}
-	if want.Digest() == got.Digest() {
-		return nil
-	}
-	for i := range want {
-		if want[i].Key() != got[i].Key() {
-			return fmt.Errorf("row %d: %s, want %s", i, got[i], want[i])
+		if err := sameRunResult(mat, par); err != nil {
+			return fmt.Errorf("P=%d: not bit-identical to P=1: %w", p, err)
 		}
 	}
 	return nil
@@ -376,25 +325,8 @@ func CheckJournalInvariance(sc *templates.Scenario, workers, partitions []int) e
 		if err := j.Close(); err != nil {
 			return fmt.Errorf("P=%d: closing journal: %w", p, err)
 		}
-		names := make([]string, 0, len(plain.Targets))
-		for name := range plain.Targets {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := sameRowOrder(plain.Targets[name], rec.Targets[name]); err != nil {
-				return fmt.Errorf("P=%d: target %s not byte-identical with journal attached: %w", p, name, err)
-			}
-		}
-		ids := make([]workflow.NodeID, 0, len(plain.NodeRows))
-		for id := range plain.NodeRows {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if got, want := rec.NodeRows[id], plain.NodeRows[id]; got != want {
-				return fmt.Errorf("P=%d: node %d emitted %d rows with journal, %d without", p, id, got, want)
-			}
+		if err := sameRunResult(plain, rec); err != nil {
+			return fmt.Errorf("P=%d: not bit-identical with journal attached: %w", p, err)
 		}
 		if err := journalWellFormed(buf.Bytes()); err != nil {
 			return fmt.Errorf("P=%d: %w", p, err)
@@ -577,35 +509,25 @@ func checkCheckpointResume(ctx context.Context, sc *templates.Scenario, seed int
 	return nil
 }
 
-// sameRunResult requires a recovered run to be indistinguishable from the
-// clean one: the same targets with byte-identical row order, and the same
-// per-node row counts.
+// sameRunResult requires a run to be indistinguishable from the reference
+// run want: the same targets with bit-identical rows in the same order
+// (data.IdenticalDiff), and the same per-node row counts.
 func sameRunResult(want, got *engine.RunResult) error {
 	if len(got.Targets) != len(want.Targets) {
-		return fmt.Errorf("%d targets, clean run loaded %d", len(got.Targets), len(want.Targets))
+		return fmt.Errorf("%d targets, reference run loaded %d", len(got.Targets), len(want.Targets))
 	}
-	names := make([]string, 0, len(want.Targets))
-	for name := range want.Targets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(want.Targets) {
 		rows, ok := got.Targets[name]
 		if !ok {
 			return fmt.Errorf("target %s missing", name)
 		}
-		if err := sameRowOrder(want.Targets[name], rows); err != nil {
-			return fmt.Errorf("target %s: %w", name, err)
+		if diff := data.IdenticalDiff(want.Targets[name], rows); diff != "" {
+			return fmt.Errorf("target %s: %s", name, diff)
 		}
 	}
-	ids := make([]workflow.NodeID, 0, len(want.NodeRows))
-	for id := range want.NodeRows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(want.NodeRows) {
 		if got.NodeRows[id] != want.NodeRows[id] {
-			return fmt.Errorf("node %d emitted %d rows, clean run %d", id, got.NodeRows[id], want.NodeRows[id])
+			return fmt.Errorf("node %d emitted %d rows, reference run %d", id, got.NodeRows[id], want.NodeRows[id])
 		}
 	}
 	return nil
@@ -649,12 +571,7 @@ func faultJournalConsistent(raw []byte, clean *engine.RunResult, injected int) e
 			}
 		}
 	}
-	ids := make([]workflow.NodeID, 0, len(clean.NodeRows))
-	for id := range clean.NodeRows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedKeys(clean.NodeRows) {
 		c, ok := nodeEvents[int(id)]
 		if !ok {
 			continue // recordsets journal no node events

@@ -2,9 +2,12 @@ package proptest_test
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"etlopt/internal/cost"
+	"etlopt/internal/data"
 	"etlopt/internal/generator"
 	"etlopt/internal/proptest"
 	"etlopt/internal/templates"
@@ -21,6 +24,45 @@ func suiteFor(t testing.TB, cat generator.Category, n int, seed int64) []*templa
 	scs, err := generator.Suite(cat, n, seed)
 	if err != nil {
 		t.Fatalf("generating %s suite: %v", cat, err)
+	}
+	return scs
+}
+
+// hostileStrings are strings a type-inferring text format would read back
+// as something else: an int, a float, NULL, a bool, a date, or nothing.
+var hostileStrings = []string{"42", "", "NULL", "true", "2021-01-02", "1e3", "false", "null", "-0"}
+
+// hostile rewrites every scenario's source data into the hostile-value
+// band: the free-text attributes (CODE, the XTRA payloads and the
+// dimension's DVAL, which reach staged nodes and targets) hold a hostile
+// string on every other row, and every third non-NULL measure is an
+// integral float. KEY, SKEY and DATE keep their generated values, which
+// lookups and date reformats depend on. The rewrite is a pure function of
+// row, attribute and value, so sources that were equal — the shared
+// prefix of a shared suite — stay equal.
+func hostile(scs []*templates.Scenario) []*templates.Scenario {
+	for _, sc := range scs {
+		for name, rows := range sc.Sources {
+			schema := sc.Schemas[name]
+			out := make(data.Rows, len(rows))
+			for i, rec := range rows {
+				rec = rec.Clone()
+				for j, attr := range schema {
+					switch {
+					case attr == "CODE" || attr == "DVAL" || strings.HasPrefix(attr, "XTRA"):
+						if i%2 == 0 {
+							rec[j] = data.NewString(hostileStrings[(i/2+j)%len(hostileStrings)])
+						}
+					case strings.HasPrefix(attr, "V") || strings.HasPrefix(attr, "RAW"):
+						if i%3 == 0 && rec[j].Kind() == data.KindFloat {
+							rec[j] = data.NewFloat(math.Trunc(rec[j].Float()))
+						}
+					}
+				}
+				out[i] = rec
+			}
+			sc.Sources[name] = out
+		}
 	}
 	return scs
 }
@@ -64,8 +106,8 @@ func TestMetamorphicExpansion(t *testing.T) {
 }
 
 // TestPartitionInvariance is the metamorphic guard for the partitioned
-// engine: ~200 seeded random workflows, each executed at P=1 as the
-// reference and again at P ∈ {1, 2, 8}, asserting
+// engine: ~200 seeded random workflows on hostile-value data, each
+// executed at P=1 as the reference and again at P ∈ {1, 2, 8}, asserting
 // that every target's multiset agrees and the rows are byte-identical in
 // order — the partition count must be observationally invisible. Run
 // under -race this also exercises the exchange and gather machinery for
@@ -85,7 +127,7 @@ func TestPartitionInvariance(t *testing.T) {
 	partitions := []int{1, 2, 8}
 	total := 0
 	for _, c := range counts {
-		scs := suiteFor(t, c.cat, c.n, propSeed+int64(c.cat)*104729)
+		scs := hostile(suiteFor(t, c.cat, c.n, propSeed+int64(c.cat)*104729))
 		for i, sc := range scs {
 			sc, i, c := sc, i, c
 			t.Run(fmt.Sprintf("%s-%02d", c.cat, i+1), func(t *testing.T) {
@@ -101,8 +143,9 @@ func TestPartitionInvariance(t *testing.T) {
 }
 
 // TestJournalInvariance is the metamorphic guard for the flight
-// recorder: seeded random workflows searched and executed with and
-// without a journal attached, at W ∈ {1, 4} and P ∈ {1, 8}, asserting
+// recorder: seeded random workflows on hostile-value data searched and
+// executed with and without a journal attached, at W ∈ {1, 4} and
+// P ∈ {1, 8}, asserting
 // results are bit-identical either way and every recorded journal is
 // well-formed. Under -race this also exercises concurrent emitters
 // against the single writer goroutine.
@@ -121,7 +164,7 @@ func TestJournalInvariance(t *testing.T) {
 	partitions := []int{1, 8}
 	total := 0
 	for _, c := range counts {
-		scs := suiteFor(t, c.cat, c.n, propSeed+int64(c.cat)*104729)
+		scs := hostile(suiteFor(t, c.cat, c.n, propSeed+int64(c.cat)*104729))
 		for i, sc := range scs {
 			sc, i, c := sc, i, c
 			t.Run(fmt.Sprintf("%s-%02d", c.cat, i+1), func(t *testing.T) {
@@ -137,8 +180,9 @@ func TestJournalInvariance(t *testing.T) {
 }
 
 // TestFaultRecoveryEquivalence is the metamorphic guard for the fault
-// subsystem: ~200 seeded random workflows, each run clean and then under
-// a seeded transient fault plan with retries at P ∈ {1, 8}, under a
+// subsystem: ~200 seeded random workflows on hostile-value data, each run
+// clean and then under a seeded transient fault plan with retries at
+// P ∈ {1, 8}, under a
 // rate-1 permanent plan (must fail with a typed, attributed error), and
 // through a crash-restart resume of the checkpoint runner at P ∈ {1, 8}.
 // Any faulty run that ultimately succeeds must be bit-identical to the
@@ -160,7 +204,7 @@ func TestFaultRecoveryEquivalence(t *testing.T) {
 	partitions := []int{1, 8}
 	total := 0
 	for _, c := range counts {
-		scs := suiteFor(t, c.cat, c.n, propSeed+int64(c.cat)*104729)
+		scs := hostile(suiteFor(t, c.cat, c.n, propSeed+int64(c.cat)*104729))
 		for i, sc := range scs {
 			sc, i, c := sc, i, c
 			t.Run(fmt.Sprintf("%s-%02d", c.cat, i+1), func(t *testing.T) {
@@ -178,8 +222,9 @@ func TestFaultRecoveryEquivalence(t *testing.T) {
 }
 
 // TestSharedRunEquivalence is the metamorphic guard for the shared-work
-// suite scheduler: ~200 seeded shared-prefix suites, each run through
-// share.RunSuite across worker counts W ∈ {1, 4}, cache budgets
+// suite scheduler: ~200 seeded shared-prefix suites on hostile-value
+// data, each run through share.RunSuite across worker counts W ∈ {1, 4},
+// cache budgets
 // {unbounded, zero, tiny}, a zero-budget disk-spill configuration, and
 // partition counts P ∈ {1, 8}, asserting every member comes out
 // bit-identical to its own solo engine run — the scheduler, cache and
@@ -231,6 +276,7 @@ func TestSharedRunEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("generating shared %s suite: %v", cat, err)
 					}
+					scs = hostile(scs)
 					spillDir := ""
 					if cfg.spill {
 						spillDir = t.TempDir()

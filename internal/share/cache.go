@@ -2,6 +2,8 @@ package share
 
 import (
 	"container/list"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"etlopt/internal/data"
@@ -175,7 +177,7 @@ func (c *cache) GetOrCompute(key string, schema data.Schema, compute func() (dat
 	var err error
 	fromDisk := spillPath != ""
 	if fromDisk {
-		rows, err = readSpill(spillPath, schema)
+		rows, err = data.ReadStage(spillPath, schema)
 	} else {
 		rows, err = compute()
 	}
@@ -250,7 +252,11 @@ func (c *cache) evictLocked(e *entry) {
 	c.emit("evict", e.bytes)
 
 	if c.spillDir != "" && e.path == "" {
-		path, err := writeSpill(c.spillDir, e.key, e.schema, e.rows)
+		path := filepath.Join(c.spillDir, e.key+".csv")
+		err := os.MkdirAll(c.spillDir, 0o755)
+		if err == nil {
+			err = data.WriteStage(path, e.schema, e.rows)
+		}
 		if err == nil {
 			e.path = path
 			c.stats.Spills++

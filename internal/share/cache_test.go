@@ -3,6 +3,7 @@ package share
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,14 +176,22 @@ func TestCacheSingleFlightErrorPropagates(t *testing.T) {
 	}
 }
 
+// hostileRows holds values a type-inferring text format would change:
+// an integral float, strings that read as an int, NULL, a bool and a
+// date, and empty strings.
+func hostileRows() data.Rows {
+	return data.Rows{
+		{data.NewInt(-7), data.NewFloat(2.5), data.NewString("héllo, \"world\"\n"), data.NewBool(true), data.NewDate(2021, 3, 4), data.Null},
+		{data.NewInt(42), data.NewFloat(3), data.NewString("42"), data.NewBool(false), data.NewDate(1999, 12, 31), data.NewString("x")},
+		{data.NewInt(0), data.NewFloat(-0.125), data.NewString("NULL"), data.NewString("true"), data.NewString("2021-01-02"), data.NewString("")},
+	}
+}
+
 func TestCacheSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := newCache(0, dir, nil, nil)
 	schema := data.Schema{"I", "F", "S", "B", "D", "N"}
-	orig := data.Rows{
-		{data.NewInt(-7), data.NewFloat(2.5), data.NewString("héllo, \"world\""), data.NewBool(true), data.NewDate(2021, 3, 4), data.Null},
-		{data.NewInt(42), data.NewFloat(-0.125), data.NewString("line"), data.NewBool(false), data.NewDate(1999, 12, 31), data.NewString("x")},
-	}
+	orig := hostileRows()
 	n := 0
 	compute := func() (data.Rows, error) { n++; return orig, nil }
 
@@ -207,10 +216,8 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("compute ran %d times, want 1 (spill load must not recompute)", n)
 	}
-	// These values are chosen to round-trip the staging CSV format exactly,
-	// so the typed digest must survive the disk trip bit-for-bit.
-	if orig.Digest() != rows2.Digest() {
-		t.Fatalf("spill round-trip changed rows:\n  orig %v\n  got  %v", orig, rows2)
+	if diff := data.IdenticalDiff(orig, rows2); diff != "" {
+		t.Fatalf("spill round-trip changed rows: %s", diff)
 	}
 
 	// The re-admitted entry was evicted again (budget 0) but keeps its
@@ -224,25 +231,70 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpillRoundTripDirect reads the cache's spill files back with the
+// stage codec: hostile typed values and a one-column row holding "" come
+// back Digest-equal, and a read against another schema fails.
 func TestSpillRoundTripDirect(t *testing.T) {
 	dir := t.TempDir()
-	schema := data.Schema{"A", "B"}
-	rows := data.Rows{
-		{data.NewString("comma, quote \" and\nnewline"), data.NewInt(1)},
-		{data.Null, data.NewFloat(3.5)},
+	c := newCache(0, dir, nil, nil)
+	cases := []struct {
+		key    string
+		schema data.Schema
+		rows   data.Rows
+	}{
+		{"deadbeef", data.Schema{"I", "F", "S", "B", "D", "N"}, hostileRows()},
+		{"feedface", data.Schema{"S"}, data.Rows{{data.NewString("")}, {data.NewString("")}}},
 	}
-	path, err := writeSpill(dir, "deadbeef", schema, rows)
-	if err != nil {
-		t.Fatalf("writeSpill: %v", err)
+	for _, tc := range cases {
+		if _, _, err := c.GetOrCompute(tc.key, tc.schema, func() (data.Rows, error) { return tc.rows, nil }); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tc.key+".csv")
+		got, err := data.ReadStage(path, tc.schema)
+		if err != nil {
+			t.Fatalf("reading spill %s: %v", tc.key, err)
+		}
+		if diff := data.IdenticalDiff(tc.rows, got); diff != "" {
+			t.Fatalf("spill %s round trip: %s", tc.key, diff)
+		}
+		if _, err := data.ReadStage(path, data.Schema{"A", "WRONG"}); err == nil {
+			t.Fatalf("spill %s read against a mismatched schema", tc.key)
+		}
 	}
-	got, err := readSpill(path, schema)
-	if err != nil {
-		t.Fatalf("readSpill: %v", err)
+}
+
+// TestCacheSpillDamage loads spill files damaged on disk: a torn file and
+// a file with one flipped byte each make the lookup fail with an error,
+// never serve rows.
+func TestCacheSpillDamage(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"torn", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"bit flip", func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }},
 	}
-	if rows.Digest() != got.Digest() {
-		t.Fatalf("round trip changed rows: %v vs %v", rows, got)
-	}
-	if _, err := readSpill(path, data.Schema{"A", "WRONG"}); err == nil {
-		t.Fatal("readSpill accepted a mismatched schema header")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := newCache(0, dir, nil, nil)
+			schema := data.Schema{"I", "F", "S", "B", "D", "N"}
+			compute := func() (data.Rows, error) { return hostileRows(), nil }
+			if _, _, err := c.GetOrCompute("k", schema, compute); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "k.csv")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rows, _, err := c.GetOrCompute("k", schema, compute)
+			if err == nil || rows != nil {
+				t.Fatalf("damaged spill served %d rows, err %v; want an error", len(rows), err)
+			}
+		})
 	}
 }

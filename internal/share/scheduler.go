@@ -21,8 +21,8 @@ type Options struct {
 	// unbounded, zero forces every admission straight through eviction
 	// (and spill, when SpillDir is set).
 	CacheBytes int64
-	// SpillDir, when non-empty, spills evicted intermediates to CSV files
-	// in the checkpoint staging format instead of dropping them.
+	// SpillDir, when non-empty, spills evicted intermediates to stage files
+	// (data.WriteStage, as checkpoint staging) instead of dropping them.
 	SpillDir string
 	// Engine options are threaded unchanged into every stage and residual
 	// engine (partitions, metrics, journal, faults, retry).

@@ -35,19 +35,9 @@ func soloRun(t *testing.T, sc *templates.Scenario) *engine.RunResult {
 	return res
 }
 
-// sameRows compares positionally by Value.Key — the repo's equivalence
-// contract for rows that may have crossed a CSV staging boundary.
-func sameRows(a, b data.Rows) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
-}
+// sameRows reports bit-identity: the same typed values in the same order,
+// also for rows that crossed the spill codec.
+func sameRows(a, b data.Rows) bool { return data.IdenticalDiff(a, b) == "" }
 
 func checkSameResult(t *testing.T, name string, solo, suite *engine.RunResult) {
 	t.Helper()

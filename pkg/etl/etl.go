@@ -306,7 +306,7 @@ func WithSharedCache(bytes int64) Option {
 	return optionFunc(func(s *settings) { s.cacheBytes = bytes; s.cacheSet = true })
 }
 
-// WithSharedSpill spills evicted shared intermediates to CSV files (the
+// WithSharedSpill spills evicted shared intermediates to stage files (the
 // checkpoint staging format) under dir instead of dropping them, trading
 // recomputation for disk reads when the cache budget is tight. RunSuite
 // only.
